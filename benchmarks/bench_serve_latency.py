@@ -37,6 +37,7 @@ from repro.serve import (
     AnnotationClient,
     AnnotationServer,
     FaultInjector,
+    InProcessBackend,
     RetryPolicy,
     ServeConfig,
     ServeError,
@@ -108,9 +109,8 @@ def test_serve_latency(benchmark, serving_pipeline, request_payloads, bench_chec
     socket_path = os.path.join(workdir, "daemon.sock")
     annotator_config = AnnotatorConfig(use_type_checker=False)
     server = AnnotationServer(
-        serving_pipeline,
+        InProcessBackend(serving_pipeline, annotator_config),
         socket_path,
-        annotator_config=annotator_config,
         serve_config=ServeConfig(batch_window_seconds=0.1),
     ).start()
     client = AnnotationClient(socket_path)
@@ -194,9 +194,8 @@ def test_serve_overload_axis(benchmark, serving_pipeline, request_payloads, benc
     gate = threading.Event()
     injector = FaultInjector().arm("slow_batch", times=None, gate=gate)
     server = AnnotationServer(
-        serving_pipeline,
+        InProcessBackend(serving_pipeline, AnnotatorConfig(use_type_checker=False)),
         socket_path,
-        annotator_config=AnnotatorConfig(use_type_checker=False),
         serve_config=ServeConfig(
             batch_window_seconds=0.01,
             max_batch_requests=2,
@@ -330,10 +329,9 @@ def _run_fleet_cell(model_dir, workers, concurrency, payloads):
         model_dir, workers, annotator_config=AnnotatorConfig(use_type_checker=False)
     )
     server = AnnotationServer(
-        None,
+        pool,
         socket_path,
         serve_config=ServeConfig(batch_window_seconds=0.01, max_batch_requests=2),
-        worker_pool=pool,
     )
     try:
         server.start()
@@ -447,7 +445,8 @@ def test_serve_fleet_worker_rss_flat(
             handles = [pool.lease(timeout=60.0) for _ in range(2)]
             for handle in handles:
                 loaded.append(handle.request({"op": "ping"}))
-                pool.annotate(handle, request_payloads[0])  # build the query index
+                # build the query index on this very worker
+                handle.request({"op": "annotate", "sources": request_payloads[0]})
                 serving.append(handle.request({"op": "ping"}))
             for handle in handles:
                 pool.release(handle)

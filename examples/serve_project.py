@@ -31,7 +31,14 @@ from pathlib import Path
 from repro.core import EncoderConfig, LossKind, TrainingConfig, TypilusPipeline
 from repro.corpus import CorpusSynthesizer, DatasetConfig, SynthesisConfig, TypeAnnotationDataset
 from repro.engine import AnnotatorConfig
-from repro.serve import AnnotationClient, AnnotationServer, RetryPolicy, ServeConfig, ServeError
+from repro.serve import (
+    AnnotationClient,
+    AnnotationServer,
+    InProcessBackend,
+    RetryPolicy,
+    ServeConfig,
+    ServeError,
+)
 
 #: Annotated examples of a project-specific type the model never saw in
 #: training; the running daemon learns it from these via one ``adapt`` call.
@@ -65,9 +72,8 @@ def main() -> None:
 
         socket_path = Path(workdir) / "typilus.sock"
         server = AnnotationServer(
-            served,
+            InProcessBackend(served, AnnotatorConfig(use_type_checker=False)),
             socket_path,
-            annotator_config=AnnotatorConfig(use_type_checker=False),
             serve_config=ServeConfig(batch_window_seconds=0.1),
         ).start()
         print(f"daemon listening on {socket_path}")
@@ -133,9 +139,8 @@ def main() -> None:
         # with a retry hint, and a RetryPolicy client backs off and recovers.
         overload_socket = Path(workdir) / "overload.sock"
         server = AnnotationServer(
-            TypilusPipeline.load(model_dir),
+            InProcessBackend(TypilusPipeline.load(model_dir), AnnotatorConfig(use_type_checker=False)),
             overload_socket,
-            annotator_config=AnnotatorConfig(use_type_checker=False),
             serve_config=ServeConfig(
                 batch_window_seconds=0.3, max_batch_requests=1, max_queue_depth=2
             ),

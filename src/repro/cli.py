@@ -531,6 +531,7 @@ def command_serve(args: argparse.Namespace) -> int:
     from repro.serve import (
         AnnotationClient,
         AnnotationServer,
+        InProcessBackend,
         ServeConfig,
         WorkerPool,
         format_address,
@@ -592,27 +593,17 @@ def command_serve(args: argparse.Namespace) -> int:
                 "memory-mapped matrix across the fleet",
                 flush=True,
             )
-        pool = WorkerPool(args.load_model, args.workers, annotator_config=annotator_config)
-        server = AnnotationServer(
-            None,
-            args.socket,
-            serve_config=ServeConfig(**serve_config_kwargs),
-            tcp_address=args.tcp,
-            worker_pool=pool,
-        )
-        server.start()
-        banner = f"serving with {args.workers} workers ({pool.describe()['markers']} markers)"
+        backend = WorkerPool(args.load_model, args.workers, annotator_config=annotator_config)
     else:
-        pipeline = _obtain_pipeline(args)
-        server = AnnotationServer(
-            pipeline,
-            args.socket,
-            annotator_config=annotator_config,
-            serve_config=ServeConfig(**serve_config_kwargs),
-            tcp_address=args.tcp,
-        )
-        server.start()
-        banner = f"serving ({len(pipeline.type_space)} markers)"
+        backend = InProcessBackend(_obtain_pipeline(args), annotator_config)
+    server = AnnotationServer(
+        backend,
+        args.socket,
+        serve_config=ServeConfig(**serve_config_kwargs),
+        tcp_address=args.tcp,
+    ).start()
+    fleet = f" with {args.workers} workers" if args.workers > 0 else ""
+    banner = f"serving{fleet} ({backend.describe()['markers']} markers)"
     endpoints = []
     if args.socket is not None:
         endpoints.append(f"unix://{args.socket}")

@@ -1,32 +1,32 @@
-"""Long-lived annotation serving: daemon, client, wire protocol and faults.
+"""Long-lived annotation serving: daemon, backends, client, wire protocol, faults.
 
 Where :mod:`repro.engine` annotates one project per process,
-:mod:`repro.serve` keeps a trained pipeline resident:
-:class:`AnnotationServer` loads it once, listens on a local Unix socket and
-coalesces concurrent annotation requests into micro-batches through the
-engine's batched suggestion path (identical answers, shared embedding
-passes), while the incrementally-extendable TypeSpace lets ``adapt``
-requests grow the open type vocabulary between batches without a rebuild.
+:mod:`repro.serve` keeps a trained pipeline resident.  One front-end,
+:class:`AnnotationServer`, listens on a Unix socket and/or TCP and coalesces
+concurrent annotation requests into micro-batches through the engine's
+batched suggestion path (identical answers, shared embedding passes), while
+the incrementally-extendable TypeSpace lets ``adapt`` requests grow the open
+type vocabulary between batches without a rebuild.
+
+The model work sits behind one backend contract with two implementations:
+:class:`InProcessBackend` keeps one pipeline in the daemon's own process,
+and :class:`WorkerPool` runs N worker processes that each memory-map the
+same saved model (the marker matrix occupies physical memory once) and each
+serve through an :class:`InProcessBackend` of their own.  The front-end runs
+the same code for both; a pool simply offers N dispatch slots instead of one.
 
 The failure modes are engineered, not accidental: bounded admission with
 ``overloaded`` sheds and ``retry_after_seconds`` hints, per-request
 deadlines propagated on the wire, poison-request isolation by batch
-bisection, a self-restarting batcher, and hot pipeline reload that swaps
-atomically between micro-batches.  :class:`AnnotationClient` is the
-matching client (same report objects as the in-process engine) with an
-optional :class:`RetryPolicy`; :class:`FaultInjector` provides the named
-failure points the chaos suite uses to prove every degradation path
+bisection, a self-restarting batcher, and hot pipeline reload as a quiesced
+two-phase swap.  :class:`AnnotationClient` is the matching client (same
+report objects as the in-process engine) with an optional
+:class:`RetryPolicy`; :class:`FaultInjector` provides the named failure
+points the chaos suite uses to prove every degradation path
 deterministically.
-
-For multi-core serving, :class:`WorkerPool` turns the daemon into a fleet
-front-end: N annotation worker processes each memory-map the same saved
-model (the marker matrix occupies physical memory once), micro-batches
-dispatch round-robin across them, and ``adapt``/``reload`` broadcast behind
-a quiesce barrier so no two workers ever answer from different type maps.
-The front-end listens on TCP and/or the Unix socket; the single-process
-Unix-socket daemon remains the default.
 """
 
+from repro.serve.backend import InProcessBackend, ServeBackend
 from repro.serve.client import AnnotationClient, RetryPolicy, ServeError
 from repro.serve.faults import FAULT_POINTS, FaultInjector, InjectedFault
 from repro.serve.protocol import (
@@ -45,11 +45,13 @@ __all__ = [
     "AnnotationServer",
     "FAULT_POINTS",
     "FaultInjector",
+    "InProcessBackend",
     "InjectedFault",
     "LIFECYCLE_STATES",
     "MAX_FRAME_BYTES",
     "ProtocolError",
     "RetryPolicy",
+    "ServeBackend",
     "ServeConfig",
     "ServeError",
     "ServeStats",

@@ -37,10 +37,10 @@ from typing import Callable, Optional
 #:                   thread-death scenario the restart guard recovers from).
 #: ``slow_batch``  — start of a micro-batch, before any engine work (arm
 #:                   with a ``gate`` to pin the batcher deterministically).
-#: ``annotator``   — immediately before each ``annotate_sources`` engine
-#:                   call, including the bisected halves of a failing batch.
-#: ``reload``      — inside the background loader, before reading the new
-#:                   pipeline from disk.
+#: ``annotator``   — immediately before each ``backend.annotate`` call,
+#:                   including the bisected halves of a failing batch.
+#: ``reload``      — once in-flight batches drained, before the backend
+#:                   reads the new pipeline from disk.
 #: ``worker``      — in the fleet front-end, immediately before a merged
 #:                   micro-batch is sent to an annotation worker process; an
 #:                   error arm is treated as a worker crash (the pool kills

@@ -1,38 +1,45 @@
-"""A fault-tolerant annotation daemon with request micro-batching.
+"""The serve front-end: one fault-tolerant daemon over one backend.
 
-:class:`AnnotationServer` loads a trained pipeline **once** and answers
-annotation requests over a local Unix stream socket, which is what turns the
-batch-first engine into a service: clients pay per request, never per model
-load.  Design points:
+:class:`AnnotationServer` answers annotation requests over a local Unix
+stream socket, a TCP address, or both, which is what turns the batch-first
+engine into a service: clients pay per request, never per model load.  The
+model work itself belongs to a backend (:mod:`repro.serve.backend`): an
+:class:`~repro.serve.backend.InProcessBackend` holds one pipeline in this
+process, a :class:`~repro.serve.workers.WorkerPool` spreads it over N worker
+processes.  The front-end runs the same code for both.  Design points:
 
 * **Micro-batching.**  Every ``annotate`` request lands on one queue; a
-  single batcher thread drains whatever arrived within a small window (or up
-  to ``max_batch_requests``) and routes the *union* of their files — each
-  filename namespaced by its request — through one
-  :meth:`~repro.engine.annotator.ProjectAnnotator.annotate_sources` call.
-  Concurrent clients therefore share one embedding pass and one vectorized
-  kNN query, and because the merged batch runs the exact same code path as a
-  one-shot annotation, coalescing cannot change any answer.
+  single batcher thread waits for one of the backend's ``concurrency``
+  dispatch slots, drains whatever arrived within a small window (or up to
+  ``max_batch_requests``) and hands the *union* of their files — each
+  filename namespaced by its request — to a dispatcher thread as one
+  ``backend.annotate`` call.  Concurrent clients therefore share one
+  embedding pass and one vectorized kNN query, and because the merged batch
+  runs the exact same code path as a one-shot annotation, coalescing cannot
+  change any answer.  With one slot (in-process) a batch runs while the
+  next one queues; with N slots (a fleet) up to N batches run at once.
 * **Engineered failure modes.**  Admission is bounded: past
   ``max_queue_depth`` pending requests the daemon sheds load immediately
   with an ``overloaded`` error carrying a ``retry_after_seconds`` hint,
   instead of letting latency grow without bound.  Requests carry optional
-  deadlines on the wire (``timeout_seconds``); the batcher drops
+  deadlines on the wire (``timeout_seconds``); the dispatcher drops
   already-expired requests *before* spending an embedding pass on them.
-  When a merged micro-batch fails, the batcher bisects it and re-runs the
-  halves, so one poison request fails alone instead of failing its
-  neighbors.  If the batcher thread itself dies, a restart guard fails every
+  When a merged micro-batch fails, it is bisected and the halves re-run, so
+  one poison request fails alone instead of failing its neighbors.  A
+  worker crash fails only its own batch (``error_kind="crashed"``, never
+  bisected).  If the batcher thread itself dies, a restart guard fails every
   pending request fast (``batcher crashed``) and starts a fresh batcher —
   a crash costs one batch, never the daemon.
-* **Hot reload.**  A ``reload`` request loads a new pipeline from disk on a
-  background thread and atomically swaps it in *between* micro-batches:
-  in-flight batches finish on the old pipeline, the next batch sees the new
-  one, and no request ever fails because of a swap.  ``ping`` reports a
-  lifecycle state (``ready`` / ``reloading`` / ``draining`` /
+* **Quiesced exclusives.**  ``adapt`` (open-vocabulary type-map extension,
+  Sec. 4.2) and ``reload`` flow through the same queue; the batcher waits
+  until no micro-batch is in flight, then calls the backend, so no batch
+  ever straddles a type-map change.  If the in-flight batches do not drain
+  within :data:`QUIESCE_TIMEOUT_SECONDS` the exclusive fails
+  (``error_kind="quiesce_timeout"``) instead of running under them.  A
+  reload is two-phase inside the backend (load next to the live pipeline,
+  then swap), so a failed load leaves the old pipeline serving.  ``ping``
+  reports a lifecycle state (``ready`` / ``reloading`` / ``draining`` /
   ``overloaded``).
-* **Serialized mutation.**  ``adapt`` requests (open-vocabulary type-map
-  extension, Sec. 4.2) and the reload swap flow through the same queue, so
-  the pipeline is only ever touched by the batcher thread.
 * **Deterministic chaos.**  Every degradation path above is guarded by a
   named :class:`~repro.serve.faults.FaultInjector` point the server
   consults at the exact moment the organic failure would occur, so the
@@ -42,17 +49,6 @@ load.  Design points:
   validated before any buffer is allocated; one response per request;
   ``shutdown`` is an ordinary request, acknowledged before the listener
   closes.
-* **Fleet mode.**  With a :class:`~repro.serve.workers.WorkerPool` the same
-  front-end holds **no pipeline at all**: micro-batches are dispatched to N
-  annotation worker processes that each memory-map the same saved model, so
-  batches run concurrently across cores while the marker matrix occupies
-  physical memory once.  ``adapt`` and ``reload`` quiesce in-flight
-  dispatches and broadcast to every worker behind a barrier, so no two
-  workers ever answer from different type maps; a worker crash fails only
-  its own batch (``error_kind="crashed"``, never bisected) and the pool
-  restarts it.  The server can listen on a Unix socket, a TCP address, or
-  both — the single-process Unix-socket daemon is unchanged and remains the
-  default.
 """
 
 from __future__ import annotations
@@ -67,11 +63,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.core.pipeline import TypilusPipeline
-from repro.engine.annotator import AnnotatorConfig, ProjectAnnotator, suggestion_to_payload
+from repro.serve.backend import ServeBackend
 from repro.serve.faults import FaultInjector, InjectedFault
 from repro.serve.protocol import MAX_FRAME_BYTES, ProtocolError, parse_address, recv_frame, send_frame
-from repro.serve.workers import WorkerCrashed, WorkerPool
+from repro.serve.workers import WorkerCrashed
 
 #: Separates the request ordinal from the filename in a merged micro-batch;
 #: NUL cannot appear in a path, so the namespacing is collision-free.
@@ -79,6 +74,10 @@ _NAMESPACE = "\x00"
 
 #: Lifecycle states reported by the ``ping`` op.
 LIFECYCLE_STATES = ("ready", "reloading", "draining", "overloaded")
+
+#: How long an ``adapt`` or ``reload`` waits for in-flight micro-batches to
+#: finish before it fails with ``error_kind="quiesce_timeout"``.
+QUIESCE_TIMEOUT_SECONDS = 120.0
 
 
 @dataclass
@@ -181,59 +180,40 @@ class _PendingAdapt(_Pending):
 
 
 class _PendingReload(_Pending):
-    """A reload in flight: the loader fills ``pipeline``, the batcher swaps it."""
-
     def __init__(self, model_dir: str) -> None:
         super().__init__()
         self.model_dir = model_dir
-        self.pipeline: Optional[TypilusPipeline] = None
 
 
 @dataclass
 class _BatchPlanState:
     batch: list[_PendingAnnotate] = field(default_factory=list)
-    carry: Optional[_Pending] = None  # an adapt or reload swap that ended the drain
+    carry: Optional[_Pending] = None  # an adapt or reload that ended the drain
     stopping: bool = False
 
 
 class AnnotationServer:
     """Serves annotation requests over Unix and/or TCP sockets.
 
-    The pipeline either lives in-process (the single-process daemon: one
-    batcher thread runs every micro-batch through one
-    :class:`~repro.engine.annotator.ProjectAnnotator`) or in a
-    :class:`~repro.serve.workers.WorkerPool` of N annotation worker
-    processes (the fleet front-end: the batcher hands each collected
-    micro-batch to a dispatcher thread, so up to N batches run
-    concurrently).  Exactly one of ``pipeline`` / ``worker_pool`` must be
-    given, and at least one of ``socket_path`` / ``tcp_address``.
+    ``backend`` does the model work (see :mod:`repro.serve.backend`); the
+    server starts and closes it with itself.  At least one of
+    ``socket_path`` / ``tcp_address`` must be given.
     """
 
     def __init__(
         self,
-        pipeline: Optional[TypilusPipeline],
+        backend: ServeBackend,
         socket_path: Optional[Union[str, Path]] = None,
-        annotator_config: Optional[AnnotatorConfig] = None,
         serve_config: Optional[ServeConfig] = None,
         fault_injector: Optional[FaultInjector] = None,
         tcp_address: Optional[Union[str, tuple]] = None,
-        worker_pool: Optional[WorkerPool] = None,
     ) -> None:
         if not hasattr(socket, "AF_UNIX"):  # pragma: no cover - non-POSIX platforms
             raise RuntimeError("the annotation daemon requires AF_UNIX sockets")
-        if (pipeline is None) == (worker_pool is None):
-            raise ValueError(
-                "exactly one of pipeline (in-process) or worker_pool (fleet mode) must be given"
-            )
         if socket_path is None and tcp_address is None:
             raise ValueError("the daemon needs a socket_path, a tcp_address, or both")
-        self.pipeline = pipeline
+        self.backend = backend
         self.socket_path = Path(socket_path) if socket_path is not None else None
-        self.annotator_config = annotator_config or AnnotatorConfig()
-        self.annotator = (
-            ProjectAnnotator(pipeline, self.annotator_config) if pipeline is not None else None
-        )
-        self._pool = worker_pool
         if tcp_address is not None:
             kind, target = parse_address(tcp_address)
             if kind != "tcp":
@@ -257,13 +237,14 @@ class AnnotationServer:
         self._admitted = 0
         # EWMA of micro-batch wall time, feeding the retry_after_seconds hint.
         self._batch_seconds: Optional[float] = None
-        # Reload lifecycle: set from dispatch, cleared when the swap lands/fails.
+        # Reload lifecycle: set from dispatch, cleared when the reload lands/fails.
         self._reload_lock = threading.Lock()
         self._reloading = threading.Event()
         # What the batcher currently holds, so the restart guard can fail it.
         self._current: list[_Pending] = []
-        # Fleet mode: micro-batches handed to dispatcher threads and not yet
-        # finished; exclusives (adapt / reload) quiesce on this barrier.
+        # Micro-batches handed to dispatcher threads and not yet finished: the
+        # batcher drains only while a slot is free, and exclusives (adapt /
+        # reload) wait here until none is in flight.
         self._inflight_cond = threading.Condition()
         self._inflight = 0
 
@@ -282,14 +263,13 @@ class AnnotationServer:
         return "ready"
 
     def start(self) -> "AnnotationServer":
-        """Bind the socket(s), start the workers and the acceptor/batcher threads."""
+        """Start the backend, bind the socket(s) and start the server threads."""
         if self._listeners:
             return self
-        if self._pool is not None:
-            self._pool.start()
-            self._executor = ThreadPoolExecutor(
-                max_workers=self._pool.num_workers, thread_name_prefix="serve-dispatch"
-            )
+        self.backend.start()
+        self._executor = ThreadPoolExecutor(
+            max_workers=self.backend.concurrency, thread_name_prefix="serve-dispatch"
+        )
         if self.socket_path is not None:
             self._reclaim_stale_socket()
             listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -343,7 +323,7 @@ class AnnotationServer:
                 pass
 
     def close(self) -> None:
-        """Shut down, join the threads and stop the worker fleet."""
+        """Shut down, join the threads and close the backend."""
         self.shutdown()
         for thread in self._threads:
             thread.join(timeout=5.0)
@@ -351,8 +331,7 @@ class AnnotationServer:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        if self._pool is not None:
-            self._pool.close()
+        self.backend.close()
         # A wire-initiated shutdown runs on a connection-handler thread that
         # is not joined above; finish its cleanup so the socket file is
         # guaranteed gone once close() returns.
@@ -437,19 +416,6 @@ class AnnotationServer:
 
     # -- request dispatch --------------------------------------------------------------
 
-    def _describe_space(self) -> dict:
-        """Pipeline facts for ``ping``/``stats`` — local space or fleet cache."""
-        if self._pool is not None:
-            return self._pool.describe()
-        space = self.pipeline.type_space
-        return {
-            "markers": len(space),
-            "dim": space.dim,
-            "approximate_index": space.approximate_index,
-            "index_kind": space.index_kind,
-            "dtype": str(space.dtype),
-        }
-
     def _dispatch(self, request: dict) -> dict:
         self._count(requests=1)
         op = request.get("op")
@@ -459,19 +425,15 @@ class AnnotationServer:
             return {
                 "ok": True,
                 "state": self.state,
-                **self._describe_space(),
+                **self.backend.describe(),
                 "queue_depth": depth,
                 "queue_capacity": self.config.max_queue_depth,
             }
         if op == "stats":
             with self._stats_lock:
                 summary = self.stats.summary()
-            summary.update(ok=True, state=self.state, markers=self._describe_space()["markers"])
-            if self._pool is not None:
-                # Satellite fix: `stats` reflects the fleet, not just the
-                # front-end — per-worker batches/restarts plus the totals.
-                summary["workers"] = self._pool.worker_stats()
-                summary["worker_restarts"] = self._pool.restarts_total()
+            summary.update(ok=True, state=self.state, markers=self.backend.describe()["markers"])
+            summary.update(self.backend.stats())
             return summary
         if op == "shutdown":
             return {"ok": True, "stopping": True}
@@ -586,62 +548,20 @@ class AnnotationServer:
                 return {"ok": False, "error": "a reload is already in progress", "error_kind": "reload"}
             self._reloading.set()
         pending = _PendingReload(model_dir)
-        if self._pool is not None:
-            # Fleet reload is a quiesced two-phase broadcast: it rides the
-            # queue directly and runs on the batcher once dispatches drain.
-            self._queue.put(pending)
-        else:
-            threading.Thread(
-                target=self._load_for_reload, args=(pending,), name="serve-reloader", daemon=True
-            ).start()
+        self._queue.put(pending)
         return self._await(pending)
 
-    def _load_for_reload(self, pending: _PendingReload) -> None:
-        """Load the new pipeline off the batcher thread, then queue the swap.
+    def _run_reload(self, pending: _PendingReload) -> None:
+        """Reload the backend's pipeline (batcher thread, quiesced).
 
-        In-flight micro-batches keep running on the old pipeline while the
-        load happens here; only the *swap* rides the queue, so it lands
-        atomically between batches.
+        The backend prepares the new pipeline next to the live one and swaps
+        only once it loaded — the in-memory form of the ``pipeline.json``-last
+        commit marker.  A failure leaves the old pipeline serving and fails
+        the request cleanly.
         """
         try:
             self.faults.fire("reload", {"model_dir": pending.model_dir})
-            pending.pipeline = TypilusPipeline.load(pending.model_dir)
-        except Exception as error:  # noqa: BLE001 - a bad model dir must not kill the daemon
-            self._count(errors=1, failed_reloads=1)
-            self._reloading.clear()
-            pending.fail(f"reload failed: {error}", kind="reload")
-            return
-        self._queue.put(pending)
-
-    def _run_reload_swap(self, pending: _PendingReload) -> None:
-        """Atomically swap the pipeline between micro-batches (batcher thread)."""
-        assert pending.pipeline is not None
-        previous_markers = len(self.pipeline.type_space)
-        self.pipeline = pending.pipeline
-        self.annotator = ProjectAnnotator(pending.pipeline, self.annotator_config)
-        self._reloading.clear()
-        self._count(reloads=1)
-        pending.result = {
-            "ok": True,
-            "markers": len(pending.pipeline.type_space),
-            "previous_markers": previous_markers,
-            "state": self.state,
-        }
-        pending.done.set()
-
-    def _run_reload_fleet(self, pending: _PendingReload) -> None:
-        """Two-phase reload across the worker fleet (batcher thread, quiesced).
-
-        Every worker prepares the new pipeline before any worker commits it
-        — the cross-process form of the ``pipeline.json``-last commit
-        marker.  A prepare failure anywhere aborts everywhere: the old
-        pipeline keeps serving and the request fails cleanly.
-        """
-        assert self._pool is not None
-        self._quiesce()
-        try:
-            self.faults.fire("reload", {"model_dir": pending.model_dir})
-            markers, previous_markers = self._pool.broadcast_reload(pending.model_dir)
+            markers, previous_markers = self.backend.reload(pending.model_dir)
         except Exception as error:  # noqa: BLE001 - a bad model dir must not kill the daemon
             self._count(errors=1, failed_reloads=1)
             self._reloading.clear()
@@ -699,13 +619,18 @@ class AnnotationServer:
         if item.done.is_set():
             return
         if isinstance(item, _PendingReload):
-            # A reload whose swap never landed must release the lifecycle
-            # flag, or the daemon would report "reloading" forever.
+            # A reload that never ran must release the lifecycle flag, or the
+            # daemon would report "reloading" forever.
             self._reloading.clear()
         item.fail(message, kind=kind)
 
     def _batch_loop(self) -> None:
         while True:
+            # Drain only once a dispatch slot is free: with one slot a batch
+            # runs while the next one queues, so it coalesces everything that
+            # arrived meanwhile.
+            with self._inflight_cond:
+                self._inflight_cond.wait_for(lambda: self._inflight < self.backend.concurrency)
             item = self._queue.get()
             if item is None:
                 return
@@ -713,15 +638,8 @@ class AnnotationServer:
             self.faults.fire("batcher", {"op": type(item).__name__})
             if isinstance(item, _PendingAnnotate):
                 state = self._collect_batch(item)
-                self._current = list(state.batch) + ([state.carry] if state.carry else [])
-                if self._pool is not None:
-                    # Fleet mode: hand the collected micro-batch to a
-                    # dispatcher thread and keep collecting — up to
-                    # num_workers batches run concurrently across workers.
-                    self._current = [state.carry] if state.carry else []
-                    self._submit_batch(state.batch)
-                else:
-                    self._run_annotate_batch(state.batch)
+                self._current = [state.carry] if state.carry else []
+                self._submit_batch(state.batch)
                 if state.carry is not None:
                     self._run_exclusive(state.carry)
                 self._current = []
@@ -731,22 +649,20 @@ class AnnotationServer:
                 self._run_exclusive(item)
                 self._current = []
 
-    # -- fleet dispatch ----------------------------------------------------------------
-
     def _submit_batch(self, batch: list[_PendingAnnotate]) -> None:
-        """Hand one micro-batch to the dispatcher pool (fleet mode only)."""
+        """Hand one micro-batch to a dispatcher thread."""
         assert self._executor is not None
         with self._inflight_cond:
             self._inflight += 1
         try:
-            self._executor.submit(self._pool_batch_main, batch)
+            self._executor.submit(self._dispatch_batch, batch)
         except BaseException:  # pragma: no cover - submit fails only at shutdown
             self._finish_inflight()
             for pending in batch:
                 self._fail_item(pending, "daemon is stopping", kind="stopping")
 
-    def _pool_batch_main(self, batch: list[_PendingAnnotate]) -> None:
-        """Dispatcher-thread body: run one micro-batch against a worker."""
+    def _dispatch_batch(self, batch: list[_PendingAnnotate]) -> None:
+        """Dispatcher-thread body: run one micro-batch against the backend."""
         try:
             self._run_annotate_batch(batch)
         except BaseException as error:  # noqa: BLE001 - a dispatcher must never die silently
@@ -760,35 +676,37 @@ class AnnotationServer:
             self._inflight -= 1
             self._inflight_cond.notify_all()
 
-    def _quiesce(self, timeout: float = 120.0) -> None:
-        """Wait until no micro-batch is in flight on any dispatcher thread.
+    def _run_exclusive(self, item: _Pending) -> None:
+        """Run an adapt or reload once no micro-batch is in flight.
 
-        Exclusives (adapt, reload) mutate state that every worker must agree
-        on; running them against a quiesced fleet is what keeps the barrier
-        semantics of the single-process daemon — no batch ever straddles a
-        type-map change.
+        Exclusives change the type map every later answer depends on; the
+        quiesce barrier means no batch ever straddles that change.  If the
+        in-flight batches outlast :data:`QUIESCE_TIMEOUT_SECONDS` the
+        exclusive fails instead of running underneath them.
         """
         with self._inflight_cond:
-            self._inflight_cond.wait_for(lambda: self._inflight == 0, timeout=timeout)
-
-    def _run_exclusive(self, item: _Pending) -> None:
-        """Run a queue item that must not share a batch (adapt / reload swap)."""
-        if isinstance(item, _PendingAdapt):
+            quiet = self._inflight_cond.wait_for(
+                lambda: self._inflight == 0, timeout=QUIESCE_TIMEOUT_SECONDS
+            )
+        if not quiet:
+            self._count(errors=1, failed_reloads=int(isinstance(item, _PendingReload)))
+            self._fail_item(
+                item,
+                f"in-flight batches did not finish within {QUIESCE_TIMEOUT_SECONDS}s; "
+                "the request was not applied",
+                kind="quiesce_timeout",
+            )
+        elif isinstance(item, _PendingAdapt):
             self._run_adapt(item)
-        elif isinstance(item, _PendingReload):
-            if self._pool is not None:
-                self._run_reload_fleet(item)
-            else:
-                self._run_reload_swap(item)
-        else:  # pragma: no cover - defensive: unknown items fail, never hang
-            self._fail_item(item, f"unhandled queue item {type(item).__name__}", kind="internal")
+        else:
+            self._run_reload(item)
 
     def _collect_batch(self, first: _PendingAnnotate) -> _BatchPlanState:
         """Drain compatible requests for one micro-batch.
 
-        An ``adapt`` or reload swap ends the drain (it must observe the
-        queue order: annotations enqueued before it run first, ones after it
-        see the new state), as does the shutdown sentinel.
+        An ``adapt`` or ``reload`` ends the drain (it must observe the queue
+        order: annotations enqueued before it run first, ones after it see
+        the new state), as does the shutdown sentinel.
         """
         state = _BatchPlanState(batch=[first])
         deadline = time.monotonic() + self.config.batch_window_seconds
@@ -842,48 +760,16 @@ class AnnotationServer:
                 elapsed if self._batch_seconds is None else 0.8 * self._batch_seconds + 0.2 * elapsed
             )
 
-    def _annotate_merged(self, merged: dict[str, str], filenames: list[str]) -> dict:
-        """Run one merged source map through the annotation backend.
-
-        Returns the backend-neutral shape ``{"files": [[namespaced_name,
-        [suggestion payloads]], ...], "skipped": [...], "reused_files": n}``
-        — exactly what a fleet worker sends over the wire and what the
-        in-process annotator's report converts to, so the two backends are
-        byte-identical from here on.  The ``annotator`` fault point fires in
-        both modes (an injected error there bisects, same as an organic
-        engine failure); a worker crash raises :class:`WorkerCrashed`.
-        """
-        self.faults.fire("annotator", {"filenames": filenames})
-        if self._pool is not None:
-            handle = self._pool.lease()
-            try:
-                reply = self._pool.annotate(handle, merged)
-            finally:
-                self._pool.release(handle)
-            return reply
-        report = self.annotator.annotate_sources(merged)
-        return {
-            "files": [
-                [
-                    file_report.filename,
-                    [suggestion_to_payload(suggestion) for suggestion in file_report.suggestions],
-                ]
-                for file_report in report.files
-            ],
-            "skipped": list(report.skipped_files),
-            "reused_files": report.reused_files,
-        }
-
     def _annotate_isolating(self, batch: list[_PendingAnnotate]) -> None:
         """Annotate a batch; on failure, bisect so poison fails alone.
 
-        A single bad request used to fail every neighbor that happened to
-        share its micro-batch.  Now a failing merged call is split in half
-        and each half re-run; the recursion bottoms out with the poison
-        request(s) failing individually while every healthy neighbor gets
-        the same answer an un-coalesced run would have produced (each re-run
-        half goes through the identical engine path).  A worker *crash* is
-        the exception: its batch fails fast as one unit (``crashed``), never
+        A failing merged call is split in half and each half re-run; the
+        recursion bottoms out with the poison request(s) failing
+        individually while every healthy neighbor gets the same answer an
+        un-coalesced run would have produced (each re-run half goes through
+        the identical engine path).  The ``annotator`` fault point fires
+        before every backend call, halves included.  A worker *crash* is the
+        exception: its batch fails fast as one unit (``crashed``), never
         bisected — re-running a batch that killed a process against more
         workers would amplify the damage, and the pool has already restarted
         the victim.
@@ -893,9 +779,8 @@ class AnnotationServer:
             for filename, source in pending.sources.items():
                 merged[f"{ordinal}{_NAMESPACE}{filename}"] = source
         try:
-            reply = self._annotate_merged(
-                merged, [name for pending in batch for name in pending.sources]
-            )
+            self.faults.fire("annotator", {"filenames": [name for p in batch for name in p.sources]})
+            reply = self.backend.annotate(merged)
         except WorkerCrashed as error:
             self._count(errors=len(batch))
             for pending in batch:
@@ -937,17 +822,7 @@ class AnnotationServer:
             )
             return
         try:
-            if self._pool is not None:
-                # Fleet adapt: quiesce the dispatchers, then broadcast to
-                # every worker behind the pool's all-or-nothing barrier — no
-                # two workers ever answer from different type maps.
-                self._quiesce()
-                added, markers = self._pool.broadcast_adapt(pending.type_name, pending.sources)
-            else:
-                added = self.pipeline.adapt_with_sources(
-                    pending.type_name, pending.sources, provenance="serve:adapt"
-                )
-                markers = len(self.pipeline.type_space)
+            added, markers = self.backend.adapt(pending.type_name, pending.sources)
         except Exception as error:  # noqa: BLE001 - a bad request must not kill the daemon
             self._count(errors=1)
             pending.fail(f"adaptation failed: {error}", kind="adaptation")

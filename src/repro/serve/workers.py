@@ -1,13 +1,14 @@
-"""Annotation worker processes and the front-end pool that drives them.
+"""The fleet backend: N annotation worker processes behind one pool.
 
-The fleet tier splits the daemon in two:
-
-* the **front-end** (:class:`~repro.serve.server.AnnotationServer`) keeps
-  everything request-shaped — admission control, deadlines, micro-batching,
-  poison bisection — but no pipeline;
-* N **worker processes** each run :meth:`TypilusPipeline.load` on the *same*
-  saved model directory and answer merged micro-batches over a private Unix
-  control socket (the same length-prefixed JSON frames as the public wire).
+:class:`WorkerPool` implements the serve backend contract
+(:mod:`repro.serve.backend`) over worker processes, so the one
+:class:`~repro.serve.server.AnnotationServer` front-end keeps everything
+request-shaped — admission control, deadlines, micro-batching, poison
+bisection — and holds no pipeline.  Each worker process runs
+:meth:`TypilusPipeline.load` on the *same* saved model directory, wraps it in
+an :class:`~repro.serve.backend.InProcessBackend`, and answers control frames
+(the same length-prefixed JSON frames as the public wire) by calling the
+matching backend method over a private Unix socket.
 
 Workers load the model themselves rather than inheriting it by fork: with
 the raw typespace layout the marker matrix is adopted as a read-only
@@ -16,13 +17,13 @@ million-marker map occupies physical memory **once**, however many workers
 serve it.  Per-worker *private* RSS stays flat as the map grows — the
 benchmarks assert this rather than assume it.
 
-Consistency discipline (the two correctness hinges):
+Consistency discipline (the two correctness hinges; the server calls both
+only once no micro-batch is in flight):
 
-* ``adapt`` broadcasts to every worker behind the batcher's quiesce barrier;
-  if any worker fails or diverges, **all** workers are restarted at the
-  pre-adapt state (fresh load + replay of the adapt log) — no two workers
-  ever answer from different type maps.  The log replays onto restarted
-  workers, so a crash never loses adaptations.
+* ``adapt`` goes to every worker; if any worker fails or diverges, **all**
+  workers are restarted at the pre-adapt state (fresh load + replay of the
+  adapt log) — no two workers ever answer from different type maps.  The
+  log replays onto restarted workers, so a crash never loses adaptations.
 * ``reload`` is two-phase, reusing the ``pipeline.json``-last commit-marker
   discipline: every worker *prepares* (loads the new directory next to the
   live pipeline) and only when all have prepared does the pool *commit* the
@@ -38,6 +39,7 @@ restart counters surfacing in the ``stats`` op.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import queue
@@ -50,6 +52,8 @@ import time
 from pathlib import Path
 from typing import Optional, Union
 
+from repro.engine.annotator import AnnotatorConfig
+from repro.serve.backend import InProcessBackend
 from repro.serve.faults import FaultInjector, InjectedFault
 from repro.serve.protocol import ProtocolError, recv_frame, send_frame
 
@@ -115,35 +119,23 @@ class _WorkerHandle:
             pass
 
 
-def _annotator_config_payload(config) -> dict:
-    """An :class:`AnnotatorConfig` as the JSON blob workers rebuild it from."""
-    return {
-        "use_type_checker": config.use_type_checker,
-        "checker_mode": config.checker_mode.value,
-        "confidence_threshold": config.confidence_threshold,
-        "include_annotated": config.include_annotated,
-        "disagreement_threshold": config.disagreement_threshold,
-        "jobs": config.jobs,
-        "cache_dir": str(config.cache_dir) if config.cache_dir is not None else None,
-    }
-
-
 class WorkerPool:
     """Spawns, health-checks and restarts N annotation worker processes.
 
     The pool owns a private Unix control listener; each spawned worker
     connects back, greets with a ``hello`` frame describing its loaded
     pipeline (marker count, dim, index kind, whether the matrix is
-    memory-mapped), and then answers dispatches one frame at a time.  The
-    server leases a worker per merged annotation call (:meth:`lease` /
-    :meth:`release`) and runs ``adapt``/``reload`` as quiesced broadcasts.
+    memory-mapped), and then answers requests one frame at a time.
+    :meth:`annotate` leases one idle worker per merged micro-batch, so up to
+    ``concurrency`` batches run at once; :meth:`adapt` and :meth:`reload`
+    check out every worker.
     """
 
     def __init__(
         self,
         model_dir: Union[str, Path],
         num_workers: int,
-        annotator_config=None,
+        annotator_config: Optional[AnnotatorConfig] = None,
         fault_injector: Optional[FaultInjector] = None,
         mmap_typespace: Optional[bool] = None,
     ) -> None:
@@ -153,11 +145,7 @@ class WorkerPool:
         self.num_workers = num_workers
         self.faults = fault_injector or FaultInjector()
         self._mmap_typespace = mmap_typespace
-        if annotator_config is None:
-            from repro.engine.annotator import AnnotatorConfig
-
-            annotator_config = AnnotatorConfig()
-        self.annotator_config = annotator_config
+        self.annotator_config = annotator_config or AnnotatorConfig()
         self._lock = threading.Lock()  # workers list, stats, describe cache
         self._spawn_lock = threading.Lock()  # serializes spawn+accept pairs
         self._idle: "queue.Queue[_WorkerHandle]" = queue.Queue()
@@ -169,6 +157,10 @@ class WorkerPool:
         self._control_dir: Optional[str] = None
         self._closed = False
         self._started = False
+
+    @property
+    def concurrency(self) -> int:
+        return self.num_workers
 
     # -- lifecycle ---------------------------------------------------------------------
 
@@ -230,12 +222,13 @@ class WorkerPool:
     def _spawn(self, worker_id: int) -> _WorkerHandle:
         """Start one worker process and wait for its greeting."""
         with self._spawn_lock:
-            config_payload = _annotator_config_payload(self.annotator_config)
-            if config_payload["cache_dir"] is not None:
+            config_payload = dataclasses.asdict(self.annotator_config)
+            config_payload["checker_mode"] = self.annotator_config.checker_mode.value
+            if self.annotator_config.cache_dir is not None:
                 # Each worker gets a private incremental-cache subtree so two
                 # processes never race on the same cache files.
                 config_payload["cache_dir"] = str(
-                    Path(config_payload["cache_dir"]) / f"worker-{worker_id}"
+                    Path(self.annotator_config.cache_dir) / f"worker-{worker_id}"
                 )
             config_payload["mmap_typespace"] = self._mmap_typespace
             command = [
@@ -360,8 +353,8 @@ class WorkerPool:
         if handle.alive and not self._closed:
             self._idle.put(handle)
 
-    def annotate(self, handle: _WorkerHandle, sources: dict[str, str]) -> dict:
-        """Run one merged annotation call on a leased worker.
+    def annotate(self, sources: dict[str, str]) -> dict:
+        """Run one merged annotation call on an idle worker.
 
         Returns the worker's payload (``files`` / ``skipped`` /
         ``reused_files``).  An application error raises :class:`WorkerError`
@@ -371,16 +364,20 @@ class WorkerPool:
         deterministic crash: the process is really killed first, so recovery
         exercises the organic path.
         """
+        handle = self.lease()
         try:
-            self.faults.fire("worker", {"worker": handle.worker_id, "filenames": list(sources)})
-        except InjectedFault as fault:
-            handle.process.kill()
-            raise self._crashed(handle, fault) from fault
-        try:
-            reply = handle.request({"op": "annotate", "sources": sources})
-        except (OSError, ProtocolError) as error:
-            raise self._crashed(handle, error) from error
-        if not reply.get("ok"):
+            try:
+                self.faults.fire("worker", {"worker": handle.worker_id, "filenames": list(sources)})
+            except InjectedFault as fault:
+                handle.process.kill()
+                raise self._crashed(handle, fault) from fault
+            try:
+                reply = handle.request({"op": "annotate", "sources": sources})
+            except (OSError, ProtocolError) as error:
+                raise self._crashed(handle, error) from error
+        finally:
+            self.release(handle)
+        if not reply.pop("ok", False):
             raise WorkerError(str(reply.get("error", "worker annotation failed")))
         with self._lock:
             self._stats[handle.worker_id]["batches"] += 1
@@ -420,25 +417,22 @@ class WorkerPool:
             if handle.alive:
                 handles.append(handle)
 
-    def broadcast_adapt(self, type_name: str, sources: dict[str, str]) -> tuple[int, int]:
-        """Adapt every worker's type map behind the quiesce barrier.
+    def adapt(self, type_name: str, sources: dict[str, str]) -> tuple[int, int]:
+        """Adapt every worker's type map; returns ``(added_markers, markers)``.
 
         All-or-nothing: on any failure or marker-count divergence, every
         worker is restarted at the pre-adapt state (the adapt log does not
         gain the failed entry), so the fleet never serves from mixed maps.
-        Returns ``(added_markers, markers)`` on success.
         """
         handles = self._checkout_all()
         sources = dict(sources)
         results: list[dict] = []
         failures: list[str] = []
-        crashed: list[_WorkerHandle] = []
         for handle in handles:
             try:
                 reply = handle.request({"op": "adapt", "type_name": type_name, "sources": sources})
             except (OSError, ProtocolError) as error:
                 failures.append(f"worker {handle.worker_id} crashed ({error})")
-                crashed.append(handle)
                 continue
             if reply.get("ok"):
                 results.append(reply)
@@ -464,7 +458,7 @@ class WorkerPool:
             self.release(handle)
         return added, markers
 
-    def broadcast_reload(self, model_dir: Union[str, Path]) -> tuple[int, int]:
+    def reload(self, model_dir: Union[str, Path]) -> tuple[int, int]:
         """Two-phase hot reload across the fleet: prepare everywhere, then commit.
 
         Phase one asks every worker to load ``model_dir`` *next to* its live
@@ -483,7 +477,7 @@ class WorkerPool:
         dead: list[_WorkerHandle] = []
         for handle in handles:
             try:
-                reply = handle.request({"op": "reload", "stage": "prepare", "model_dir": model_dir})
+                reply = handle.request({"op": "prepare_reload", "model_dir": model_dir})
             except (OSError, ProtocolError) as error:
                 failures.append(f"worker {handle.worker_id} crashed during prepare ({error})")
                 dead.append(handle)
@@ -495,7 +489,7 @@ class WorkerPool:
         if failures:
             for handle in prepared:
                 try:
-                    handle.request({"op": "reload", "stage": "abort"})
+                    handle.request({"op": "abort_reload"})
                 except (OSError, ProtocolError):
                     dead.append(handle)
             for handle in dead:
@@ -512,7 +506,7 @@ class WorkerPool:
         markers = previous_markers
         for handle in handles:
             try:
-                reply = handle.request({"op": "reload", "stage": "commit"})
+                reply = handle.request({"op": "commit_reload"})
                 markers = int(reply.get("markers", markers))
                 handle.info["markers"] = markers
             except (OSError, ProtocolError):
@@ -535,8 +529,11 @@ class WorkerPool:
             description["workers"] = sum(1 for worker in self._workers if worker.alive)
         return description
 
+    def stats(self) -> dict:
+        """Per-worker rows and the restart total for the ``stats`` op (no RPC)."""
+        return {"workers": self.worker_stats(), "worker_restarts": self.restarts_total()}
+
     def worker_stats(self) -> list[dict]:
-        """Per-worker counters for the ``stats`` op (front-end side, no RPC)."""
         with self._lock:
             by_id = {worker.worker_id: worker for worker in self._workers}
             rows = []
@@ -574,132 +571,65 @@ class WorkerPool:
 # ---------------------------------------------------------------------------
 
 
-def _describe_pipeline(pipeline) -> dict:
-    space = pipeline.type_space
+def _worker_facts(backend: InProcessBackend) -> dict:
+    """The worker's ``hello``/``ping`` payload: pipeline facts plus memory use."""
+    from repro.utils.memory import private_rss_bytes
+
+    space = backend.pipeline.type_space
     return {
-        "markers": len(space),
-        "dim": space.dim,
-        "approximate_index": space.approximate_index,
-        "index_kind": space.index_kind,
-        "dtype": str(space.dtype),
+        "pid": os.getpid(),
+        **backend.describe(),
         "mmap": space.is_memory_mapped,
         "marker_bytes": space.marker_nbytes,
+        "private_rss_bytes": private_rss_bytes(),
     }
 
 
-def _annotator_config_from_payload(payload: dict):
-    from repro.checker import CheckerMode
-    from repro.engine.annotator import AnnotatorConfig
-
-    return AnnotatorConfig(
-        use_type_checker=bool(payload.get("use_type_checker", True)),
-        checker_mode=CheckerMode(payload.get("checker_mode", CheckerMode.STRICT.value)),
-        confidence_threshold=float(payload.get("confidence_threshold", 0.0)),
-        include_annotated=bool(payload.get("include_annotated", True)),
-        disagreement_threshold=float(payload.get("disagreement_threshold", 0.8)),
-        jobs=payload.get("jobs", 1),
-        cache_dir=payload.get("cache_dir"),
-    )
+#: Control-frame ops a worker answers, each one call on its backend.  The
+#: frame's remaining keys are the call's keyword arguments.
+_WORKER_OPS = {
+    "annotate": lambda backend, sources: backend.annotate(sources),
+    "adapt": lambda backend, type_name, sources: dict(
+        zip(("added_markers", "markers"), backend.adapt(type_name, sources))
+    ),
+    "prepare_reload": lambda backend, model_dir: {"markers": backend.prepare_reload(model_dir)},
+    "commit_reload": lambda backend: dict(
+        zip(("markers", "previous_markers"), backend.commit_reload())
+    ),
+    "abort_reload": lambda backend: backend.abort_reload() or {},
+    "ping": _worker_facts,
+    "stop": lambda backend: {"stopping": True},
+}
 
 
 def _worker_serve(args) -> int:
     """The worker main loop: load once, answer control frames until stopped."""
+    from repro.checker import CheckerMode
     from repro.core.pipeline import TypilusPipeline
-    from repro.engine.annotator import ProjectAnnotator, suggestion_to_payload
-    from repro.utils.memory import private_rss_bytes
 
-    config_payload = json.loads(args.config) if args.config else {}
-    annotator_config = _annotator_config_from_payload(config_payload)
-    pipeline = TypilusPipeline.load(
-        args.model_dir, mmap_typespace=config_payload.get("mmap_typespace")
+    config = json.loads(args.config)
+    mmap_typespace = config.pop("mmap_typespace")
+    config["checker_mode"] = CheckerMode(config["checker_mode"])
+    backend = InProcessBackend(
+        TypilusPipeline.load(args.model_dir, mmap_typespace=mmap_typespace),
+        AnnotatorConfig(**config),
+        mmap_typespace=mmap_typespace,
     )
-    annotator = ProjectAnnotator(pipeline, annotator_config)
-    staged: Optional[tuple] = None  # (pipeline, model_dir) awaiting commit
-
     connection = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     connection.connect(args.connect)
-    send_frame(
-        connection,
-        {
-            "op": "hello",
-            "worker_id": args.worker_id,
-            "pid": os.getpid(),
-            **_describe_pipeline(pipeline),
-        },
-    )
-
-    def annotate_reply(request: dict) -> dict:
-        sources = request.get("sources")
-        if not isinstance(sources, dict):
-            return {"ok": False, "error": "'sources' must be a map", "error_kind": "bad_request"}
-        try:
-            report = annotator.annotate_sources(sources)
-        except Exception as error:  # noqa: BLE001 - poison must not kill the worker
-            return {"ok": False, "error": str(error), "error_kind": "annotation"}
-        return {
-            "ok": True,
-            "files": [
-                [file_report.filename, [suggestion_to_payload(s) for s in file_report.suggestions]]
-                for file_report in report.files
-            ],
-            "skipped": list(report.skipped_files),
-            "reused_files": report.reused_files,
-        }
-
+    send_frame(connection, {"op": "hello", "worker_id": args.worker_id, **_worker_facts(backend)})
     while True:
         request = recv_frame(connection)
         if request is None:
             return 0
-        op = request.get("op")
-        if op == "annotate":
-            reply = annotate_reply(request)
-        elif op == "adapt":
-            try:
-                added = pipeline.adapt_with_sources(
-                    str(request.get("type_name")), request.get("sources") or {}, provenance="serve:adapt"
-                )
-                reply = {"ok": True, "added_markers": added, "markers": len(pipeline.type_space)}
-            except Exception as error:  # noqa: BLE001
-                reply = {"ok": False, "error": str(error), "error_kind": "adaptation"}
-        elif op == "reload":
-            stage = request.get("stage")
-            if stage == "prepare":
-                try:
-                    model_dir = str(request.get("model_dir"))
-                    staged = (
-                        TypilusPipeline.load(
-                            model_dir, mmap_typespace=config_payload.get("mmap_typespace")
-                        ),
-                        model_dir,
-                    )
-                    reply = {"ok": True, "markers": len(staged[0].type_space)}
-                except Exception as error:  # noqa: BLE001
-                    staged = None
-                    reply = {"ok": False, "error": str(error), "error_kind": "reload"}
-            elif stage == "commit":
-                if staged is None:
-                    reply = {"ok": False, "error": "no staged pipeline to commit", "error_kind": "reload"}
-                else:
-                    pipeline, _ = staged
-                    annotator = ProjectAnnotator(pipeline, annotator_config)
-                    staged = None
-                    reply = {"ok": True, "markers": len(pipeline.type_space)}
-            elif stage == "abort":
-                staged = None
-                reply = {"ok": True}
-            else:
-                reply = {"ok": False, "error": f"unknown reload stage {stage!r}", "error_kind": "bad_request"}
-        elif op == "ping":
-            reply = {
-                "ok": True,
-                "pid": os.getpid(),
-                **_describe_pipeline(pipeline),
-                "private_rss_bytes": private_rss_bytes(),
-            }
-        elif op == "stop":
-            reply = {"ok": True, "stopping": True}
+        op = request.pop("op", None)
+        if op not in _WORKER_OPS:
+            reply = {"ok": False, "error": f"unknown worker op {op!r}"}
         else:
-            reply = {"ok": False, "error": f"unknown worker op {op!r}", "error_kind": "bad_request"}
+            try:
+                reply = {"ok": True, **_WORKER_OPS[op](backend, **request)}
+            except Exception as error:  # noqa: BLE001 - poison must not kill the worker
+                reply = {"ok": False, "error": str(error)}
         send_frame(connection, reply)
         if op == "stop":
             return 0
@@ -715,7 +645,7 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--connect", required=True, help="pool control socket to connect back to")
     parser.add_argument("--worker-id", type=int, required=True)
     parser.add_argument("--model-dir", required=True, help="saved pipeline directory to load")
-    parser.add_argument("--config", default="", help="JSON-encoded annotator configuration")
+    parser.add_argument("--config", required=True, help="JSON-encoded annotator configuration")
     return _worker_serve(parser.parse_args(argv))
 
 

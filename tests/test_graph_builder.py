@@ -1,5 +1,11 @@
 """Tests for the program-graph builder (nodes, edges, symbols, annotations)."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.graph import (
@@ -148,6 +154,38 @@ class TestScoping:
         graph = build_graph(source)
         assert graph.find_symbol("b", scope="module.outer.inner") is not None
         assert graph.find_symbol("a", scope="module.outer") is not None
+
+
+class TestHashSeedIndependence:
+    _SCRIPT = (
+        "import json, sys\n"
+        "from repro.graph import build_graph\n"
+        "graph = build_graph(sys.stdin.read(), 'sample.py')\n"
+        "print(json.dumps({\n"
+        "    'symbols': [repr(symbol) for symbol in graph.symbols],\n"
+        "    'nodes': [repr(node) for node in graph.nodes],\n"
+        "    'edges': sorted([kind.name, pairs] for kind, pairs in graph.edges.items()),\n"
+        "}))\n"
+    )
+
+    def _build_under_seed(self, source, seed):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        completed = subprocess.run(
+            [sys.executable, "-c", self._SCRIPT], input=source, env=env,
+            capture_output=True, text=True, check=True,
+        )
+        return json.loads(completed.stdout)
+
+    def test_graph_does_not_depend_on_the_string_hash_seed(self, sample_source):
+        """Symbols, nodes and edges come out identical in every process,
+        whatever ``PYTHONHASHSEED`` it runs under (fleet workers included)."""
+        first = self._build_under_seed(sample_source, 1)
+        second = self._build_under_seed(sample_source, 2)
+        assert first["symbols"] == second["symbols"]
+        assert first["nodes"] == second["nodes"]
+        assert first["edges"] == second["edges"]
 
 
 class TestEdgeAblation:

@@ -14,12 +14,14 @@ from contextlib import contextmanager
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import TypilusPipeline
 from repro.engine import AnnotatorConfig, ProjectAnnotator
 from repro.serve import (
     AnnotationClient,
     AnnotationServer,
+    InProcessBackend,
     ProtocolError,
     ServeConfig,
     ServeError,
@@ -36,6 +38,16 @@ FILE_B = (
     "    return ','.join(names)\n"
 )
 FILE_C = "def format_label(label):\n    return label.strip()\n"
+
+
+#: Frame payloads a hostile or corrupt peer might send: raw bytes, JSON-ish
+#: text, pathological nesting and integers past the interpreter's digit limit.
+_FRAME_BODIES = st.one_of(
+    st.binary(max_size=256),
+    st.text(alphabet='[]{}":,0123456789.-eE tfalsenru\\', max_size=256).map(str.encode),
+    st.integers(min_value=0, max_value=20_000).map(lambda depth: b"[" * depth),
+    st.integers(min_value=4_000, max_value=6_000).map(lambda digits: b'{"n": ' + b"7" * digits + b"}"),
+)
 
 
 def _suggestion_key(suggestion):
@@ -77,9 +89,8 @@ def _running_server(model_dir, annotator_config=None, serve_config=None):
     socket_path = os.path.join(workdir, "daemon.sock")
     pipeline = TypilusPipeline.load(model_dir)
     server = AnnotationServer(
-        pipeline,
+        InProcessBackend(pipeline, annotator_config or AnnotatorConfig(use_type_checker=False)),
         socket_path,
-        annotator_config=annotator_config or AnnotatorConfig(use_type_checker=False),
         serve_config=serve_config or ServeConfig(batch_window_seconds=0.2),
     ).start()
     client = AnnotationClient(socket_path)
@@ -223,7 +234,7 @@ class TestLifecycleAndProtocol:
             leftover.bind(socket_path)
             leftover.close()  # bound but never listening: a crash leftover
             pipeline = TypilusPipeline.load(model_dir)
-            server = AnnotationServer(pipeline, socket_path).start()
+            server = AnnotationServer(InProcessBackend(pipeline), socket_path).start()
             try:
                 assert AnnotationClient(socket_path).wait_until_ready(timeout=10.0)["ok"]
             finally:
@@ -234,7 +245,7 @@ class TestLifecycleAndProtocol:
     def test_second_daemon_refuses_live_socket(self, served, model_dir):
         other = TypilusPipeline.load(model_dir)
         with pytest.raises(RuntimeError, match="already serving"):
-            AnnotationServer(other, served.socket_path).start()
+            AnnotationServer(InProcessBackend(other), served.socket_path).start()
 
     def test_unknown_op_is_an_error_not_a_crash(self, served):
         with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as connection:
@@ -253,6 +264,18 @@ class TestLifecycleAndProtocol:
         assert response is not None and response["ok"] is False
         assert served.client.ping()["ok"]
 
+    def test_pathological_frames_get_protocol_errors(self, served):
+        """Deep nesting and over-long integers fail as frames, not as threads."""
+        for body in (b"[" * 200_000, b'{"n": ' + b"7" * 5_000 + b"}"):
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as connection:
+                connection.connect(served.socket_path)
+                connection.sendall(struct.pack(">I", len(body)) + body)
+                response = recv_frame(connection)
+            assert response is not None and response["ok"] is False
+            assert response["error_kind"] == "protocol"
+        assert served.client.stats()["errors"] == 2
+        assert served.client.ping()["ok"]
+
     def test_bad_sources_payload_rejected(self, served):
         with pytest.raises(ServeError, match="sources"):
             served.client._request({"op": "annotate", "sources": "not a mapping"})
@@ -265,6 +288,21 @@ class TestLifecycleAndProtocol:
             left.close()
             assert recv_frame(right) is None  # clean EOF
         finally:
+            right.close()
+
+    @settings(max_examples=200, deadline=None)
+    @given(body=_FRAME_BODIES)
+    def test_decoder_raises_only_protocol_errors(self, body):
+        left, right = socket.socketpair()
+        try:
+            left.sendall(struct.pack(">I", len(body)) + body)
+            try:
+                payload = recv_frame(right)
+            except ProtocolError:
+                return
+            assert isinstance(payload, dict)
+        finally:
+            left.close()
             right.close()
 
     def test_oversized_frame_header_rejected(self):
@@ -445,10 +483,10 @@ class TestShutdownRaces:
             leftover = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             leftover.bind(socket_path)
             leftover.close()  # bound but never listening: a crash leftover
-            first = AnnotationServer(TypilusPipeline.load(model_dir), socket_path).start()
+            first = AnnotationServer(InProcessBackend(TypilusPipeline.load(model_dir)), socket_path).start()
             try:
                 assert AnnotationClient(socket_path).wait_until_ready(timeout=10.0)["ok"]
-                second = AnnotationServer(TypilusPipeline.load(model_dir), socket_path)
+                second = AnnotationServer(InProcessBackend(TypilusPipeline.load(model_dir)), socket_path)
                 with pytest.raises(RuntimeError, match="already serving"):
                     second.start()
                 # the refusal must not have evicted the live daemon

@@ -28,11 +28,14 @@ from repro.serve import (
     AnnotationClient,
     AnnotationServer,
     FaultInjector,
+    InProcessBackend,
     ProtocolError,
     RetryPolicy,
     ServeConfig,
     ServeError,
+    WorkerPool,
 )
+from repro.serve import server as server_module
 from test_serve import FILE_A, FILE_B, FILE_C, _report_keys
 
 POISON_FILE = "poison.py"
@@ -61,20 +64,26 @@ def grown_model_dir(model_dir, tmp_path_factory):
 
 
 @contextmanager
-def _running_server(model_dir, serve_config=None, injector=None):
+def _running_server(model_dir, serve_config=None, injector=None, backend="in-process"):
+    """A started daemon; ``backend="fleet"`` serves through a 2-worker pool,
+    and ``pipeline`` is then a reference copy loaded from the same directory."""
     workdir = tempfile.mkdtemp(prefix="typilus-chaos-")
     socket_path = os.path.join(workdir, "daemon.sock")
     pipeline = TypilusPipeline.load(model_dir)
     injector = injector or FaultInjector()
+    config = AnnotatorConfig(use_type_checker=False)
+    if backend == "fleet":
+        served_by = WorkerPool(model_dir, 2, annotator_config=config, fault_injector=injector)
+    else:
+        served_by = InProcessBackend(pipeline, config)
     server = AnnotationServer(
-        pipeline,
+        served_by,
         socket_path,
-        annotator_config=AnnotatorConfig(use_type_checker=False),
         serve_config=serve_config or ServeConfig(batch_window_seconds=0.05),
         fault_injector=injector,
     ).start()
     client = AnnotationClient(socket_path)
-    client.wait_until_ready(timeout=10.0)
+    client.wait_until_ready(timeout=60.0)
     try:
         yield SimpleNamespace(
             server=server,
@@ -232,12 +241,16 @@ class TestOverload:
 
 
 class TestPoisonIsolation:
+    backend = "in-process"
+
     def test_poison_request_fails_alone_in_a_coalesced_batch(self, model_dir):
         """One bad request in a merged micro-batch must not fail its neighbors,
         and the neighbors' answers must match un-coalesced runs exactly."""
         gate = threading.Event()
         injector = FaultInjector()
-        injector.arm("slow_batch", times=1, gate=gate)
+        # every batch waits at the gate, so with two dispatch slots the
+        # coalesced batch is pinned too until all five requests are admitted
+        injector.arm("slow_batch", times=None, gate=gate)
         injector.arm(
             "annotator",
             times=None,
@@ -245,7 +258,7 @@ class TestPoisonIsolation:
             match=lambda context: POISON_FILE in context.get("filenames", ()),
         )
         config = ServeConfig(batch_window_seconds=0.2, max_batch_requests=32)
-        with _running_server(model_dir, serve_config=config, injector=injector) as served:
+        with _running_server(model_dir, serve_config=config, injector=injector, backend=self.backend) as served:
             # pin the batcher on a sacrificial request so the next four
             # requests deterministically coalesce into one micro-batch
             sacrificial = _in_thread(served.client.annotate_sources, {"warmup.py": FILE_A})
@@ -274,6 +287,12 @@ class TestPoisonIsolation:
             assert stats["largest_batch"] == 4  # the four really did share a batch
             # full batch -> poisoned half -> poisoned singleton: three matching fires
             assert served.faults.fired("annotator") == 3
+
+
+class TestPoisonIsolationOnFleet(TestPoisonIsolation):
+    """The same bisection path with batches dispatched to a 2-worker fleet."""
+
+    backend = "fleet"
 
 
 class TestHotReload:
@@ -349,11 +368,15 @@ class TestTornFrames:
 
 
 class TestDeadlinesUnderLoad:
+    backend = "in-process"
+
     def test_expired_request_behind_a_slow_batch_is_dropped_unprocessed(self, model_dir):
         gate = threading.Event()
-        injector = FaultInjector().arm("slow_batch", times=1, gate=gate)
+        # every batch waits at the gate: with two dispatch slots the doomed
+        # request's batch is pinned as well, so it is seen admitted
+        injector = FaultInjector().arm("slow_batch", times=None, gate=gate)
         config = ServeConfig(batch_window_seconds=0.01, max_batch_requests=1)
-        with _running_server(model_dir, serve_config=config, injector=injector) as served:
+        with _running_server(model_dir, serve_config=config, injector=injector, backend=self.backend) as served:
             pinned = _in_thread(served.client.annotate_sources, {"a.py": FILE_A})
             assert served.faults.wait_for("slow_batch")
             doomed = _in_thread(
@@ -369,3 +392,46 @@ class TestDeadlinesUnderLoad:
             stats = served.client.stats()
             assert stats["expired_requests"] == 1
             assert stats["micro_batches"] == 1  # no embedding pass for the expired request
+
+
+class TestDeadlinesUnderLoadOnFleet(TestDeadlinesUnderLoad):
+    """The same expiry path with two dispatch slots, so batches overlap."""
+
+    backend = "fleet"
+
+
+class TestQuiesceTimeout:
+    backend = "in-process"
+
+    def test_adapt_fails_typed_when_batches_do_not_drain(self, model_dir, monkeypatch):
+        """An exclusive never runs underneath an in-flight batch: when the
+        quiesce barrier times out, the adapt fails and changes nothing."""
+        monkeypatch.setattr(server_module, "QUIESCE_TIMEOUT_SECONDS", 0.2)
+        slow = threading.Event()
+        hold = threading.Event()
+        injector = FaultInjector()
+        injector.arm("slow_batch", times=None, gate=slow)
+        injector.arm("batcher", times=1, gate=hold)
+        config = ServeConfig(batch_window_seconds=0.5)
+        with _running_server(model_dir, serve_config=config, injector=injector, backend=self.backend) as served:
+            before = served.client.ping()["markers"]
+            # hold the batcher with the annotate in hand until the adapt is
+            # queued, so the adapt ends that very batch's drain
+            pinned = _in_thread(served.client.annotate_sources, {"a.py": FILE_A})
+            assert served.faults.wait_for("batcher")
+            example = {"example.py": "def handle(event: QuiesceKind) -> QuiesceKind:\n    return event\n"}
+            adapting = _in_thread(served.client.adapt, "QuiesceKind", example)
+            _wait_until(lambda: served.client.ping()["queue_depth"] >= 2, message="the adapt to queue")
+            hold.set()
+            with pytest.raises(ServeError, match="did not finish") as excinfo:
+                adapting.result()
+            assert excinfo.value.kind == "quiesce_timeout"
+            assert served.client.ping()["markers"] == before  # the type map never changed
+            slow.set()
+            assert pinned.result().num_files == 1
+            assert served.client.stats()["errors"] == 1
+            assert served.client.adapt("QuiesceKind", example)["added_markers"] >= 1
+
+
+class TestQuiesceTimeoutOnFleet(TestQuiesceTimeout):
+    backend = "fleet"

@@ -7,6 +7,7 @@ import os
 import shutil
 import signal
 import socket
+import struct
 import tempfile
 import time
 from contextlib import contextmanager
@@ -14,6 +15,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import TypilusPipeline
 from repro.engine import AnnotatorConfig
@@ -21,6 +23,7 @@ from repro.serve import (
     AnnotationClient,
     AnnotationServer,
     FaultInjector,
+    InProcessBackend,
     ServeConfig,
     ServeError,
     WorkerPool,
@@ -63,11 +66,10 @@ def _running_fleet(model_dir, num_workers=2, fault_injector=None, serve_config=N
         fault_injector=fault_injector,
     )
     server = AnnotationServer(
-        None,
+        pool,
         socket_path,
         serve_config=serve_config or ServeConfig(batch_window_seconds=0.01),
         tcp_address="127.0.0.1:0" if tcp else None,
-        worker_pool=pool,
     ).start()
     client = AnnotationClient(socket_path)
     client.wait_until_ready(timeout=60.0)
@@ -126,9 +128,8 @@ class TestFleetParity:
         workdir = tempfile.mkdtemp(prefix="typilus-single-")
         single_socket = os.path.join(workdir, "single.sock")
         single = AnnotationServer(
-            TypilusPipeline.load(raw_model_dir),
+            InProcessBackend(TypilusPipeline.load(raw_model_dir), AnnotatorConfig(use_type_checker=False)),
             single_socket,
-            annotator_config=AnnotatorConfig(use_type_checker=False),
             serve_config=ServeConfig(batch_window_seconds=0.01),
         ).start()
         try:
@@ -152,6 +153,76 @@ class TestFleetParity:
         client = AnnotationClient(f"127.0.0.1:{fleet.server.tcp_port}")
         report = client.annotate_sources({"a.py": FILE_A})
         assert report.num_files == 1
+
+
+def _raw_reply_bytes(address, payload):
+    """One request over a raw socket, returning the response frame as sent."""
+    kind, target = parse_address(address)
+    family = socket.AF_INET if kind == "tcp" else socket.AF_UNIX
+    with socket.socket(family, socket.SOCK_STREAM) as connection:
+        connection.connect(target)
+        send_frame(connection, payload)
+        frame = b""
+        while len(frame) < 4 or len(frame) < 4 + struct.unpack(">I", frame[:4])[0]:
+            chunk = connection.recv(1 << 16)
+            assert chunk, "server closed the connection mid-frame"
+            frame += chunk
+        return frame
+
+
+_NAMES = ("amount", "total", "label", "items", "count", "value", "parts", "key")
+
+
+@st.composite
+def _project_file(draw):
+    """A small function with up to four locals, sometimes annotated, sometimes broken."""
+    params = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=3, unique=True))
+    local_names = draw(st.lists(st.sampled_from(_NAMES), max_size=4, unique=True))
+    annotation = draw(st.sampled_from(["", ": int", ": str"]))
+    lines = [f"def work({', '.join(name + annotation for name in params)}):"]
+    lines += [f"    {name} = {params[i % len(params)]}" for i, name in enumerate(local_names)]
+    lines.append(f"    return {(local_names or params)[-1]}")
+    source = "\n".join(lines) + "\n"
+    return source if draw(st.integers(0, 9)) else "def broken(:\n"
+
+
+_ANNOTATE_OP = st.dictionaries(
+    st.sampled_from(["a.py", "b.py", "pkg/c.py"]), _project_file(), min_size=1, max_size=2
+).map(lambda sources: {"op": "annotate", "sources": sources})
+_ADAPT_OP = st.sampled_from(["ParityAlphaKind", "ParityBetaKind"]).map(
+    lambda name: {
+        "op": "adapt",
+        "type_name": name,
+        "sources": {"example.py": f"def handle(event: {name}) -> {name}:\n    return event\n"},
+    }
+)
+
+
+class TestParityProperty:
+    def test_in_process_and_fleet_reply_frames_are_byte_identical(self, raw_model_dir):
+        """Any short sequence of annotate and adapt ops gets the same raw reply
+        frames from a one-process daemon and from a 2-worker fleet."""
+        workdir = tempfile.mkdtemp(prefix="typilus-parity-")
+        single_socket = os.path.join(workdir, "single.sock")
+        single = AnnotationServer(
+            InProcessBackend(TypilusPipeline.load(raw_model_dir), AnnotatorConfig(use_type_checker=False)),
+            single_socket,
+            serve_config=ServeConfig(batch_window_seconds=0.01),
+        ).start()
+        try:
+            AnnotationClient(single_socket).wait_until_ready(timeout=30.0)
+            with _running_fleet(raw_model_dir, tcp=False) as fleet:
+
+                @settings(max_examples=8, deadline=None)
+                @given(ops=st.lists(st.one_of(_ANNOTATE_OP, _ADAPT_OP), min_size=1, max_size=4))
+                def check(ops):
+                    for op in ops:
+                        assert _raw_reply_bytes(fleet.socket_path, op) == _raw_reply_bytes(single_socket, op)
+
+                check()
+        finally:
+            single.close()
+            shutil.rmtree(workdir, ignore_errors=True)
 
 
 class TestFleetBroadcasts:
@@ -265,16 +336,9 @@ class TestWorkerCrashes:
 
 
 class TestFleetConstruction:
-    def test_server_requires_exactly_one_backend(self, raw_model_dir, trained_pipeline, tmp_path):
-        pool = WorkerPool(raw_model_dir, 1)
-        with pytest.raises(ValueError, match="exactly one"):
-            AnnotationServer(trained_pipeline, tmp_path / "d.sock", worker_pool=pool)
-        with pytest.raises(ValueError, match="exactly one"):
-            AnnotationServer(None, tmp_path / "d.sock")
-
     def test_server_requires_an_endpoint(self, trained_pipeline):
         with pytest.raises(ValueError, match="socket_path"):
-            AnnotationServer(trained_pipeline)
+            AnnotationServer(InProcessBackend(trained_pipeline))
 
     def test_pool_rejects_zero_workers(self, raw_model_dir):
         with pytest.raises(ValueError, match="at least one"):
