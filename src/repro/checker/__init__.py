@@ -8,8 +8,10 @@ from repro.checker.harness import (
     PredictionCategory,
     PredictionChecker,
     PredictionCheckOutcome,
+    SourcePredictionChecker,
     apply_annotation,
 )
+from repro.checker.incremental import IncrementalChecker
 from repro.checker.infer import ExpressionTyper, is_assignable, join_types
 
 __all__ = [
@@ -29,6 +31,8 @@ __all__ = [
     "join_types",
     "PredictionChecker",
     "PredictionCheckOutcome",
+    "SourcePredictionChecker",
+    "IncrementalChecker",
     "PredictionCategory",
     "AnnotationRewriteError",
     "apply_annotation",

@@ -28,6 +28,10 @@ from repro.types.normalize import canonicalise
 from repro.types.parser import try_parse_type
 
 
+#: The diagnostic for a module nested too deeply to check recursively.
+TOO_DEEP_MESSAGE = "nesting too deep to type check"
+
+
 class CheckerMode(str, Enum):
     """Which real-world optional type checker the configuration emulates."""
 
@@ -53,17 +57,26 @@ class OptionalTypeChecker:
 
     def check_source(self, source: str, filename: str = "<string>") -> CheckResult:
         """Type check a source string, returning every diagnostic found."""
-        self._errors = []
-        self._statements = 0
-        self._functions = 0
         try:
-            tree = ast.parse(source)
+            return self.check_tree(ast.parse(source))
         except SyntaxError as error:
             return CheckResult(
                 errors=[
                     TypeCheckError(ErrorCode.ANNOTATION_UNPARSABLE, f"syntax error: {error.msg}", error.lineno or -1)
                 ]
             )
+        except RecursionError:
+            return CheckResult(errors=[TypeCheckError(ErrorCode.ANNOTATION_UNPARSABLE, TOO_DEEP_MESSAGE, 1)])
+
+    def check_tree(self, tree: ast.Module) -> CheckResult:
+        """Type check an already parsed module.
+
+        Raises :class:`RecursionError` when the module nests too deeply for
+        the recursive checker; :meth:`check_source` reports that as an error.
+        """
+        self._errors = []
+        self._statements = 0
+        self._functions = 0
         context = self._build_module_context(tree)
         self._register_class_hierarchy(context)
         self._check_module(tree, context)
@@ -176,13 +189,19 @@ class OptionalTypeChecker:
         return context
 
     def _class_info_from_node(self, node: ast.ClassDef) -> ClassInfo:
-        info = ClassInfo(name=node.name)
+        info = ClassInfo(name=node.name, attributes=self._class_attributes(node))
         info.bases = [base.id for base in node.bases if isinstance(base, ast.Name)]
         for member in node.body:
             if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 info.methods[member.name] = self._signature_from_node(member, is_method=True)
-            elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
-                info.attributes[member.target.id] = self._annotation_or_any(member.annotation)
+        return info
+
+    def _class_attributes(self, node: ast.ClassDef) -> dict[str, TypeExpr]:
+        """A class's attribute types: its class-body annotations, then its ``self.attr`` assignments."""
+        attributes: dict[str, TypeExpr] = {}
+        for member in node.body:
+            if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                attributes[member.target.id] = self._annotation_or_any(member.annotation)
         # self.attr assignments inside methods contribute attributes too.
         for member in node.body:
             if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -199,10 +218,10 @@ class OptionalTypeChecker:
                     and isinstance(target, ast.Attribute)
                     and isinstance(target.value, ast.Name)
                     and target.value.id == "self"
-                    and target.attr not in info.attributes
+                    and target.attr not in attributes
                 ):
-                    info.attributes[target.attr] = self._annotation_or_any(annotation) if annotation is not None else ANY
-        return info
+                    attributes[target.attr] = self._annotation_or_any(annotation) if annotation is not None else ANY
+        return attributes
 
     def _register_class_hierarchy(self, context: ModuleContext) -> None:
         for class_info in context.classes.values():
@@ -215,9 +234,19 @@ class OptionalTypeChecker:
         self._errors.append(TypeCheckError(code, message, lineno, scope))
 
     def _check_module(self, tree: ast.Module, context: ModuleContext) -> None:
+        for statement in tree.body:
+            self._check_top_level(statement, context)
+
+    def _check_top_level(self, statement: ast.stmt, context: ModuleContext) -> list[TypeCheckError]:
+        """Check one top-level statement; return the diagnostics it reports.
+
+        The statement runs in ``context.globals``, the module scope, and may
+        bind names there that later statements read.
+        """
+        start = len(self._errors)
         typer = ExpressionTyper(context, self.lattice, self._errors.append, strict=self.strict)
-        module_scope = context.globals
-        self._check_block(tree.body, module_scope, typer, context, current_function=None)
+        self._check_block([statement], context.globals, typer, context, current_function=None)
+        return self._errors[start:]
 
     def _check_block(
         self,

@@ -1,0 +1,415 @@
+"""Incremental type checking of one file under single-annotation edits.
+
+Checking a prediction means: set one symbol's annotation, re-check the file
+and count the diagnostics the annotation introduced.  Re-parsing and
+re-checking the whole file per candidate repeats almost all of the work, so
+:class:`IncrementalChecker` parses a file once, builds its
+:class:`~repro.checker.env.ModuleContext` once and checks it once.  Each
+candidate is then written into the tree in place, the one context entry it
+changes is patched, and only the top-level statements that can observe the
+change are re-checked before the tree is restored.
+
+Which statements observe a change follows from how the checker flows types
+between scopes: function signatures and attribute types come from
+annotations only, so a change travels one hop.
+
+* a local variable → the top-level statement that owns it;
+* a parameter or return of a top-level ``f`` → its own statement plus every
+  statement that mentions the name ``f`` (or nests a ``def f``);
+* a method ``m`` or attribute ``a`` of a class → the class statement plus every
+  statement that reads ``.m`` / ``.a`` (or nests a ``class`` of the same
+  name); for ``__init__`` also every statement that mentions the class or one
+  of its subclasses.
+
+Where that reasoning does not hold — module-level and class-body variables,
+names defined twice at the top level, or a dependent statement that is not a
+``def``/``class`` (it may bind module-level names later statements read) —
+the patched tree is checked whole instead, still without re-parsing.
+
+:class:`SlotIndex` is the single locator of annotation slots, shared with
+:func:`repro.checker.harness.apply_annotation`.
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import Counter
+from dataclasses import dataclass, replace
+from typing import Optional
+
+from repro.checker.checker import TOO_DEEP_MESSAGE, CheckerMode, OptionalTypeChecker
+from repro.checker.env import ClassInfo, FunctionSignature, ModuleContext
+from repro.checker.errors import TypeCheckError
+from repro.graph.nodes import SymbolKind
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+class AnnotationRewriteError(ValueError):
+    """Raised when the requested symbol cannot be located in the program."""
+
+
+def parse_annotation(type_string: str) -> ast.expr:
+    """The expression node of a predicted type, ready to be set as an annotation."""
+    try:
+        return ast.parse(type_string, mode="eval").body
+    except SyntaxError as error:
+        raise AnnotationRewriteError(f"prediction {type_string!r} is not a valid annotation") from error
+
+
+def _error_signature(errors: list[TypeCheckError]) -> Counter:
+    """The diagnostics compared between a file and its annotated variant."""
+    return Counter((error.code, error.scope) for error in errors)
+
+
+@dataclass
+class _Site:
+    """One place an annotation is written.
+
+    ``node`` is a parameter (``ast.arg``), a function (its return) or an
+    assignment statement; an assignment also records the statement list
+    holding it, because a plain ``Assign`` is swapped for an ``AnnAssign``.
+    """
+
+    top: int  # index of the top-level statement that holds the site
+    node: ast.AST
+    body: Optional[list] = None
+    index: int = 0
+    class_body: bool = False
+    function: Optional[ast.AST] = None  # the function whose signature holds the site
+    self_attribute: bool = False  # an assignment to ``self.attr``
+
+    def write(self, annotation: ast.expr) -> Optional[ast.expr]:
+        """Set the annotation; return what :meth:`restore` needs to undo it."""
+        node = self.node
+        if isinstance(node, ast.arg):
+            previous, node.annotation = node.annotation, annotation
+        elif isinstance(node, _FUNCTIONS):
+            previous, node.returns = node.returns, annotation
+        elif isinstance(node, ast.AnnAssign):
+            previous, node.annotation = node.annotation, annotation
+        else:
+            assert isinstance(node, ast.Assign) and self.body is not None
+            target = node.targets[0]
+            self.body[self.index] = ast.copy_location(
+                ast.AnnAssign(target=target, annotation=annotation, value=node.value,
+                              simple=1 if isinstance(target, ast.Name) else 0),
+                node,
+            )
+            previous = None
+        return previous
+
+    def restore(self, previous: Optional[ast.expr]) -> None:
+        node = self.node
+        if isinstance(node, ast.arg):
+            node.annotation = previous
+        elif isinstance(node, _FUNCTIONS):
+            node.returns = previous
+        elif isinstance(node, ast.AnnAssign):
+            node.annotation = previous
+        else:
+            assert self.body is not None
+            self.body[self.index] = node
+
+
+class Slot:
+    """Every site one symbol's annotation is written to."""
+
+    def __init__(self, sites: list[_Site]) -> None:
+        self.sites = sites
+        self._previous: list[Optional[ast.expr]] = []
+
+    @property
+    def tops(self) -> set[int]:
+        return {site.top for site in self.sites}
+
+    def apply(self, annotation: ast.expr) -> None:
+        self._previous = [site.write(annotation) for site in self.sites]
+
+    def revert(self) -> None:
+        for site, previous in zip(self.sites, self._previous):
+            site.restore(previous)
+        self._previous = []
+
+
+def _assignment_key(statement: ast.stmt) -> Optional[str]:
+    """The symbol a single-target assignment defines: ``x`` or ``self.x``."""
+    if isinstance(statement, ast.Assign) and len(statement.targets) == 1:
+        target = statement.targets[0]
+    elif isinstance(statement, ast.AnnAssign):
+        target = statement.target
+    else:
+        return None
+    if isinstance(target, ast.Name):
+        return target.id
+    if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name) and target.value.id == "self":
+        return f"self.{target.attr}"
+    return None
+
+
+class SlotIndex:
+    """Every annotation slot of a module, found in one walk.
+
+    Symbols are identified as the graph builder names them: a scope path
+    (``module.Class.method``), a name and a kind.
+
+    * A parameter is every same-name parameter of every function with that
+      scope path; a return is every such function's return.
+    * A variable is the first single-target ``Assign`` or ``AnnAssign`` to
+      the name in that scope, in source order.
+    * ``self.attr`` is recorded against its class scope, but the assignment
+      lives in a method: when the scope holds no such assignment, the first
+      plain ``self.attr = ...`` is used that lies outside every class other
+      than the one named (nested classes never match).
+    """
+
+    def __init__(self, tree: ast.Module) -> None:
+        self._parameters: dict[tuple[str, str], list[_Site]] = {}
+        self._returns: dict[str, list[_Site]] = {}
+        self._variables: dict[tuple[str, str], _Site] = {}
+        # First `self.attr = ...` per attribute outside any class, and per
+        # (class path, attribute) inside exactly one class: (order, site).
+        self._free_self: dict[str, tuple[int, _Site]] = {}
+        self._class_self: dict[tuple[str, str], tuple[int, _Site]] = {}
+        self._order = 0
+        self._walk(tree.body, "module", "module", 0, None, False)
+
+    def locate(self, scope: str, name: str, kind: SymbolKind) -> Slot:
+        sites: Optional[list[_Site]] = None
+        if kind == SymbolKind.FUNCTION_RETURN and name == "<return>":
+            sites = self._returns.get(scope)
+        elif kind == SymbolKind.PARAMETER:
+            sites = self._parameters.get((scope, name))
+        elif kind == SymbolKind.VARIABLE:
+            site = self._variables.get((scope, name))
+            if site is None and name.startswith("self."):
+                site = self._self_assignment(scope, name.split(".", 1)[1])
+            sites = [site] if site is not None else None
+        if not sites:
+            raise AnnotationRewriteError(f"could not locate symbol {name!r} in scope {scope!r}")
+        return Slot(sites)
+
+    def _self_assignment(self, class_scope: str, attr: str) -> Optional[_Site]:
+        found = [entry for entry in (self._free_self.get(attr), self._class_self.get((class_scope, attr))) if entry]
+        return min(found, key=lambda entry: entry[0])[1] if found else None
+
+    def _walk(
+        self, body: list[ast.stmt], path: str, class_path: str, class_depth: int, top: Optional[int], class_body: bool
+    ) -> None:
+        for index, statement in enumerate(body):
+            owner = index if top is None else top
+            self._order += 1
+            if isinstance(statement, _FUNCTIONS):
+                function_path = f"{path}.{statement.name}"
+                self._returns.setdefault(function_path, []).append(_Site(owner, statement, function=statement))
+                args = statement.args
+                for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]:
+                    if arg is not None:
+                        site = _Site(owner, arg, function=statement)
+                        self._parameters.setdefault((function_path, arg.arg), []).append(site)
+                self._walk(statement.body, function_path, class_path, class_depth, owner, False)
+                continue
+            if isinstance(statement, ast.ClassDef):
+                self._walk(statement.body, f"{path}.{statement.name}", f"{class_path}.{statement.name}",
+                           class_depth + 1, owner, True)
+                continue
+            key = _assignment_key(statement)
+            if key is not None:
+                site = _Site(owner, statement, body, index, class_body, self_attribute=key.startswith("self."))
+                self._variables.setdefault((path, key), site)
+                if site.self_attribute and isinstance(statement, ast.Assign):
+                    if class_depth == 0:
+                        self._free_self.setdefault(key[5:], (self._order, site))
+                    elif class_depth == 1:
+                        self._class_self.setdefault((class_path, key[5:]), (self._order, site))
+            for _, value in ast.iter_fields(statement):
+                if not isinstance(value, list):
+                    continue
+                for item in value:
+                    if isinstance(item, (ast.excepthandler, ast.match_case)):
+                        self._walk(item.body, path, class_path, class_depth, owner, False)
+                if value and isinstance(value[0], ast.stmt):
+                    self._walk(value, path, class_path, class_depth, owner, False)
+
+
+class _Uses:
+    """Which top-level statements mention each name, attribute, ``def`` and ``class``."""
+
+    def __init__(self, tree: ast.Module) -> None:
+        self.names: dict[str, set[int]] = {}
+        self.attributes: dict[str, set[int]] = {}
+        self.functions: dict[str, set[int]] = {}
+        self.classes: dict[str, set[int]] = {}
+        for index, statement in enumerate(tree.body):
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name):
+                    self.names.setdefault(node.id, set()).add(index)
+                elif isinstance(node, ast.Attribute):
+                    self.attributes.setdefault(node.attr, set()).add(index)
+                elif isinstance(node, _FUNCTIONS):
+                    self.functions.setdefault(node.name, set()).add(index)
+                elif isinstance(node, ast.ClassDef):
+                    self.classes.setdefault(node.name, set()).add(index)
+
+    @staticmethod
+    def union(index: dict[str, set[int]], keys) -> set[int]:
+        found: set[int] = set()
+        for key in keys:
+            found |= index.get(key, set())
+        return found
+
+
+def _changed_keys(before: dict, after: dict) -> set[str]:
+    return {key for key in before.keys() | after.keys() if before.get(key) != after.get(key)}
+
+
+class IncrementalChecker(OptionalTypeChecker):
+    """One file, parsed and checked once, re-checked per annotation edit.
+
+    The constructor runs the file's one :meth:`check_source`, recording for
+    every top-level statement the diagnostics it reported and, for ``def``
+    and ``class`` statements, the module scope it started from: checking
+    mutates ``context.globals``, and a statement re-checked alone must see
+    what it saw in the whole-module walk.
+
+    Raises :class:`SyntaxError` for unparsable sources and
+    :class:`RecursionError` for sources nested too deeply to check.
+    """
+
+    def __init__(self, source: str, mode: CheckerMode = CheckerMode.STRICT) -> None:
+        super().__init__(mode=mode)
+        self.tree: Optional[ast.Module] = None
+        self._context = ModuleContext()
+        self._scope_before: dict[int, tuple[dict, set]] = {}
+        self._statement_errors: list[Counter] = []
+        baseline = self.check_source(source)
+        if self.tree is None:
+            ast.parse(source)  # raises the SyntaxError the check reported
+            raise RecursionError(TOO_DEEP_MESSAGE)
+        if len(self._statement_errors) != len(self.tree.body):
+            raise RecursionError(TOO_DEEP_MESSAGE)
+        self._baseline = _error_signature(baseline.errors)
+        self.slots = SlotIndex(self.tree)
+        defined = Counter(statement.name for statement in self.tree.body if isinstance(statement, _DEFINITIONS))
+        self._redefined = {name for name, count in defined.items() if count > 1}
+        self._uses = _Uses(self.tree)
+
+    def _check_module(self, tree: ast.Module, context: ModuleContext) -> None:
+        if self.tree is not None:  # a whole-module check of an edited tree
+            super()._check_module(tree, context)
+            return
+        self.tree, self._context = tree, context
+        module_scope = context.globals
+        for index, statement in enumerate(tree.body):
+            if isinstance(statement, _DEFINITIONS):
+                self._scope_before[index] = (dict(module_scope.bindings), set(module_scope.declared))
+            self._statement_errors.append(_error_signature(self._check_top_level(statement, context)))
+
+    def introduced_errors(self, scope: str, name: str, kind: SymbolKind, annotation: ast.expr) -> int:
+        """How many diagnostics setting one symbol's annotation introduces.
+
+        Raises :class:`AnnotationRewriteError` when the symbol has no slot.
+        """
+        slot = self.slots.locate(scope, name, kind)
+        slot.apply(annotation)
+        try:
+            after = self._check_edited(slot)
+        finally:
+            slot.revert()
+        return sum((after - self._baseline).values())
+
+    def _check_edited(self, slot: Slot) -> Counter:
+        tops = slot.tops
+        if len(tops) != 1 or any(site.class_body for site in slot.sites):
+            return self._check_whole()
+        top = tops.pop()
+        statement = self.tree.body[top]
+        if not isinstance(statement, _DEFINITIONS) or statement.name in self._redefined:
+            return self._check_whole()
+        entries = self._context.classes if isinstance(statement, ast.ClassDef) else self._context.functions
+        before = entries[statement.name]
+        after = self._edited_definition(statement, before, slot)
+        affected = {top} | self._observers(statement, before, after)
+        if any(not isinstance(self.tree.body[index], _DEFINITIONS) for index in affected):
+            return self._check_whole()
+        entries[statement.name] = after
+        try:
+            return self._recheck(affected)
+        finally:
+            entries[statement.name] = before
+
+    def _edited_definition(
+        self,
+        statement: ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef,
+        before: FunctionSignature | ClassInfo,
+        slot: Slot,
+    ) -> FunctionSignature | ClassInfo:
+        """The context entry of ``statement`` with the slot's annotation set.
+
+        Only a signature of the statement itself (or of one of its methods)
+        and ``self.attr`` assignments reach the context; anything nested
+        deeper is seen by the statement's own check alone.
+        """
+        functions = [site.function for site in slot.sites if site.function is not None]
+        if not isinstance(statement, ast.ClassDef):
+            return self._signature_from_node(statement, is_method=False) if statement in functions else before
+        assert isinstance(before, ClassInfo)
+        if any(site.self_attribute for site in slot.sites):
+            return replace(before, attributes=self._class_attributes(statement))
+        # `ClassInfo.methods` keeps the last member of each name.
+        members = {member.name: member for member in statement.body if isinstance(member, _FUNCTIONS)}
+        edited = {name: member for name, member in members.items() if member in functions}
+        if not edited:
+            return before
+        methods = dict(before.methods)
+        for name, member in edited.items():
+            methods[name] = self._signature_from_node(member, is_method=True)
+        return replace(before, methods=methods)
+
+    def _observers(
+        self,
+        statement: ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef,
+        before: FunctionSignature | ClassInfo,
+        after: FunctionSignature | ClassInfo,
+    ) -> set[int]:
+        """Top-level statements whose check reads the changed context entry."""
+        if before == after:
+            return set()
+        uses = self._uses
+        if not isinstance(statement, ast.ClassDef):
+            return uses.names.get(statement.name, set()) | uses.functions.get(statement.name, set())
+        assert isinstance(before, ClassInfo) and isinstance(after, ClassInfo)
+        methods = _changed_keys(before.methods, after.methods)
+        members = _changed_keys(before.attributes, after.attributes) | methods
+        observers = uses.union(uses.attributes, members) | uses.classes.get(statement.name, set())
+        if "__init__" in methods:
+            observers |= uses.union(uses.names, self._subclasses(statement.name))
+        return observers
+
+    def _subclasses(self, name: str) -> set[str]:
+        """``name`` and every module class that inherits from it."""
+        family = {name}
+        grew = True
+        while grew:
+            grew = False
+            for info in self._context.classes.values():
+                if info.name not in family and family.intersection(info.bases):
+                    family.add(info.name)
+                    grew = True
+        return family
+
+    def _recheck(self, affected: set[int]) -> Counter:
+        self._errors = []
+        module_scope = self._context.globals
+        signature = self._baseline.copy()
+        for index in sorted(affected):
+            bindings, declared = self._scope_before[index]
+            module_scope.bindings = dict(bindings)
+            module_scope.declared = set(declared)
+            signature.subtract(self._statement_errors[index])
+            signature.update(_error_signature(self._check_top_level(self.tree.body[index], self._context)))
+        return signature
+
+    def _check_whole(self) -> Counter:
+        return _error_signature(self.check_tree(self.tree).errors)

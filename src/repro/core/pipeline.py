@@ -250,8 +250,10 @@ class TypilusPipeline:
 
         All files' symbols are embedded together (batched across files by the
         :class:`SymbolEmbedder`) and scored with a single vectorized kNN
-        prediction; the checker filter then runs per file with its verdicts
-        cached per unique candidate.  Files that fail to parse raise
+        prediction; the checker filter then runs per file, parsing and checking
+        it once and re-checking only what each candidate can affect, with every
+        symbol's candidates checked on their own.  Files that fail to parse
+        (or nest too deeply to build a graph of) raise
         :class:`~repro.graph.builder.GraphBuildError` unless
         ``skip_unparsable`` is set, in which case they are omitted from the
         result.

@@ -4,8 +4,9 @@ This module implements the engine behind ``repro.cli annotate``.  Where
 :meth:`TypilusPipeline.suggest_for_source` answers for one file,
 :class:`ProjectAnnotator` answers for a whole project: it gathers every
 file's symbols, routes them through the pipeline's batched suggestion path
-(one embedding pass over all files, one vectorized kNN prediction, checker
-verdicts cached per unique candidate) and assembles a :class:`ProjectReport`
+(one embedding pass over all files, one vectorized kNN prediction, one
+incremental checker per file that verifies each symbol's candidates on their
+own) and assembles a :class:`ProjectReport`
 with per-file suggestions, Sec.-7-style disagreement findings and
 throughput numbers.
 

@@ -237,6 +237,17 @@ class GraphBuilder:
     # -- public API --------------------------------------------------------------
 
     def build(self, source: str, filename: str = "<string>") -> CodeGraph:
+        """Build the graph of one file; :class:`GraphBuildError` if it cannot be parsed or walked.
+
+        The AST walks are recursive, so a file nested too deeply for them
+        (say, a 500-term flat expression) fails like a syntax error does.
+        """
+        try:
+            return self._build(source, filename)
+        except RecursionError as error:
+            raise GraphBuildError(f"cannot build the graph of {filename}: nesting too deep") from error
+
+    def _build(self, source: str, filename: str) -> CodeGraph:
         try:
             annotations = collect_annotations(source)
             erased = erase_annotations(source)

@@ -16,6 +16,7 @@ contents.  PEP 604 unions (``int | None``) are normalised to ``Union`` /
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Optional
 
 from repro.types.expr import ELLIPSIS_TYPE, NONE, TypeExpr
@@ -90,8 +91,13 @@ def parse_type(text: str) -> TypeExpr:
     return expr
 
 
+@lru_cache(maxsize=4096)
 def try_parse_type(text: str) -> Optional[TypeExpr]:
-    """Like :func:`parse_type` but returns ``None`` instead of raising."""
+    """Like :func:`parse_type` but returns ``None`` instead of raising.
+
+    Results are memoised: type expressions are immutable, and the checker
+    and the dataset parse the same few annotation strings over and over.
+    """
     try:
         return parse_type(text)
     except TypeParseError:
