@@ -179,7 +179,6 @@ class BatchPlan:
         self.lazy = lazy
         self._graph_entries: dict[int, _CompiledGraph] = {}
         self._sequence_entries: dict[int, _CompiledSequence] = {}
-        self._assembled: dict[int, object] = {}
         self._training: dict[int, object] = {}
         self._pad_features: Optional[TextFeatures] = None
         self._persisted: Optional[list[TextFeatures]] = None
@@ -246,33 +245,19 @@ class BatchPlan:
         persisted: Optional[list[TextFeatures]],
         graph_index: int,
     ) -> _CompiledGraph:
+        # Texts resolve through the intern table, features are gathered from
+        # a once-featurized string table, and the (E, 2) edge blocks are
+        # zero-copy transposed views of the arena's (2, E) arrays.
         flat = graph.flat
-        if flat is not None:
-            # Columnar fast path: texts resolve through the intern table,
-            # features are gathered from a once-featurized string table, and
-            # the (E, 2) edge blocks are zero-copy transposed views of the
-            # arena's (2, E) arrays — no node objects, no tuple lists.
-            node_texts = flat.node_texts()
-            if persisted is not None:
-                features = persisted[graph_index]
-            else:
-                features = self.encoder.initializer.extractor.features_for_graph(graph)
-            edges = {kind: pairs.T for kind, pairs in flat.edges.items()}
+        if persisted is not None:
+            features = persisted[graph_index]
         else:
-            node_texts = [node.text for node in graph.nodes]
-            if persisted is not None:
-                features = persisted[graph_index]
-            else:
-                features = self.encoder.initializer.featurize(node_texts)
-            edges = {
-                kind: np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
-                for kind, pairs in graph.edges.items()
-            }
+            features = self.encoder.initializer.extractor.features_for_graph(graph)
         return _CompiledGraph(
             num_nodes=graph.num_nodes,
-            node_texts=node_texts,
+            node_texts=flat.node_texts(),
             features=features,
-            edges=edges,
+            edges={kind: pairs.T for kind, pairs in flat.edges.items()},
             target_nodes=np.asarray([sample.node_index for sample in samples], dtype=np.int64),
         )
 
@@ -292,27 +277,6 @@ class BatchPlan:
         )
 
     # -- assembly --------------------------------------------------------------------
-
-    def batch(
-        self,
-        batch_id: int,
-        graph_indices: Sequence[int],
-        samples_per_graph: Sequence[Sequence[AnnotatedSymbol]],
-    ):
-        """The assembled batch for a stable batch id (assembled once, cached).
-
-        Batch memberships are fixed for the whole run (the trainer only
-        re-shuffles batch order per epoch), so the disjoint-union arrays,
-        features, segment indexes and message plans are built on first use —
-        before any epoch-0 gradient step touches them — and reused verbatim
-        by every later epoch.
-        """
-        cached = self._assembled.get(batch_id)
-        if cached is None:
-            cached = self.assemble(graph_indices, samples_per_graph)
-            if not self.lazy:
-                self._assembled[batch_id] = cached
-        return cached
 
     def graph_pieces(
         self,
@@ -559,18 +523,6 @@ class Trainer:
         if self._plan is None or self._plan.split is not split or self._plan.lazy != lazy:
             self._plan = BatchPlan(self.encoder, split, lazy=lazy)
         return self._plan
-
-    def _encode_batch(
-        self,
-        split: DatasetSplit,
-        plan: Optional[BatchPlan],
-        batch_id: int,
-        graph_indices: list[int],
-        samples_per_graph: list[list[AnnotatedSymbol]],
-    ) -> Tensor:
-        if plan is not None and plan.supports_assembly:
-            return self.encoder(plan.batch(batch_id, graph_indices, samples_per_graph))
-        return self._encode_samples(split, graph_indices, samples_per_graph)
 
     @staticmethod
     def _ordered_types(samples_per_graph: list[list[AnnotatedSymbol]]) -> list[str]:

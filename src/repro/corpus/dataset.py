@@ -61,8 +61,8 @@ class DatasetSplit:
 
     ``graphs`` is list-like rather than necessarily a list: a dataset loaded
     with ``mmap=True`` hands out a :class:`~repro.corpus.serialize.LazyView`
-    that materialises :class:`CodeGraph` objects on demand from the mapped
-    shard columns, so indexing, iteration and slicing all work but nothing
+    that wraps the mapped shard columns in :class:`CodeGraph` views on
+    demand, so indexing, iteration and slicing all work but nothing
     corpus-sized is resident.
     """
 
@@ -281,7 +281,7 @@ class TypeAnnotationDataset:
         (the default) writes fingerprint-validated ``graphs-NNNNN.npz``
         archives of the columnar :class:`~repro.graph.flatgraph.FlatGraph`
         arrays — several times faster to write and load than JSON and never
-        materialising per-node objects; ``shard_format="json"`` writes the
+        building per-node objects; ``shard_format="json"`` writes the
         legacy ``graphs-NNNNN.json`` payloads.  :meth:`load` reads either
         (per shard, by extension) and restores a dataset whose splits,
         sample order, registry ids and vocabulary are identical to the
@@ -373,13 +373,14 @@ class TypeAnnotationDataset:
         """Restore a dataset saved with :meth:`save`.
 
         Binary ``.npz`` shards load as columnar graphs (validated against
-        their stored fingerprint); legacy ``.json`` shards load through the
-        original payload decoder — directories written by older versions
-        keep working unchanged.  ``.raw`` shard directories load eagerly by
+        their stored fingerprint); legacy ``.json`` shards are replayed
+        through a :class:`~repro.graph.flatgraph.FlatGraphBuilder` into the
+        same columnar graphs — directories written by older versions keep
+        working unchanged.  ``.raw`` shard directories load eagerly by
         default (same fingerprint validation as ``.npz``).
 
         ``mmap=True`` requires every shard to be ``.raw`` and memory-maps
-        the columns read-only instead of materialising graphs: splits hand
+        the columns read-only instead of decoding graphs up front: splits hand
         out on-demand :class:`CodeGraph` views, persisted features stay
         mapped, and multiple processes share the page cache.  Content
         fingerprints are *not* verified in this mode (verification would

@@ -19,12 +19,14 @@ the occurrence CSR pair.  Each shard carries a SHA-256 **fingerprint** over
 every array's bytes; :func:`flat_graphs_from_arrays` recomputes and
 compares it on load, so a truncated or bit-flipped shard raises
 :class:`PayloadError` (which the graph cache treats as a miss) instead of
-silently mis-indexing.  Loading never materialises per-node objects — the
+silently mis-indexing.  Loading never builds per-node objects — the
 arrays are handed straight to featurization and batch assembly.
 
 **Legacy JSON payloads.**  The original dict-of-lists layout remains fully
-readable *and* writable (``shard_format="json"``): corruption surfaces as a
-decode/validation error, and the format stays diffable and
+readable *and* writable (``shard_format="json"``): a payload is replayed
+through a :class:`~repro.graph.flatgraph.FlatGraphBuilder`, so a JSON-loaded
+graph is the same columnar view as a binary-loaded one; corruption surfaces
+as :class:`PayloadError`, and the format stays diffable and
 language-neutral.  Dataset directories written before the binary format
 load unchanged.
 """
@@ -42,8 +44,8 @@ import numpy as np
 from repro.corpus.dedup import DeduplicationReport, DuplicateCluster
 from repro.graph.codegraph import CodeGraph
 from repro.graph.edges import ALL_EDGE_KINDS, EdgeKind
-from repro.graph.flatgraph import FlatGraph
-from repro.graph.nodes import GraphNode, NodeKind, SymbolInfo, SymbolKind
+from repro.graph.flatgraph import NODE_KIND_ORDER, FlatGraph, FlatGraphBuilder
+from repro.graph.nodes import NodeKind, SymbolInfo, SymbolKind
 from repro.graph.subtokens import SubtokenVocabulary
 from repro.models.featurize import SUBTOKEN, TextFeatures
 from repro.types.lattice import TypeLattice
@@ -71,30 +73,18 @@ class PayloadError(ValueError):
 
 
 def graph_to_payload(graph: CodeGraph) -> dict[str, Any]:
-    """Encode a graph as a JSON-compatible dictionary.
-
-    Flat-backed graphs are encoded straight from their arrays — touching
-    ``graph.nodes``/``graph.edges`` would materialise the object views and
-    drop the columnar backing, degrading every later consumer of the same
-    in-memory graph.
-    """
+    """Encode a graph as a JSON-compatible dictionary, straight from its arrays."""
     flat = graph.flat
-    if flat is not None:
-        from repro.graph.flatgraph import NODE_KIND_ORDER
-
-        strings = flat.strings
-        kinds = flat.node_kind.tolist()
-        texts = flat.node_text.tolist()
-        lines = flat.node_line.tolist()
-        cols = flat.node_col.tolist()
-        nodes = [
-            [NODE_KIND_ORDER[kinds[i]].value, strings[texts[i]], lines[i], cols[i]]
-            for i in range(len(kinds))
-        ]
-        edges = {kind.value: pairs.T.tolist() for kind, pairs in flat.edges.items()}
-    else:
-        nodes = [[node.kind.value, node.text, node.lineno, node.col] for node in graph.nodes]
-        edges = {kind.value: [list(pair) for pair in pairs] for kind, pairs in graph.edges.items()}
+    strings = flat.strings
+    kinds = flat.node_kind.tolist()
+    texts = flat.node_text.tolist()
+    lines = flat.node_line.tolist()
+    cols = flat.node_col.tolist()
+    nodes = [
+        [NODE_KIND_ORDER[kinds[i]].value, strings[texts[i]], lines[i], cols[i]]
+        for i in range(len(kinds))
+    ]
+    edges = {kind.value: pairs.T.tolist() for kind, pairs in flat.edges.items()}
     return {
         "version": GRAPH_PAYLOAD_VERSION,
         "filename": graph.filename,
@@ -120,24 +110,24 @@ def graph_from_payload(payload: dict[str, Any], filename: Optional[str] = None) 
     """Decode a graph payload; ``filename`` overrides the stored name.
 
     The override is what makes graph caching content-addressed: a file moved
-    or copied to a new path reuses the cached graph under its new name.
+    or copied to a new path reuses the cached graph under its new name.  The
+    payload is replayed through a :class:`FlatGraphBuilder`, so the result
+    is as columnar as a freshly built graph.
     """
     try:
         if payload["version"] != GRAPH_PAYLOAD_VERSION:
             raise PayloadError(f"unsupported graph payload version {payload['version']!r}")
-        graph = CodeGraph(
+        arena = FlatGraphBuilder(
             filename=filename if filename is not None else payload["filename"],
             source=payload["source"],
         )
-        graph.nodes = [
-            GraphNode(index=index, kind=NodeKind(kind), text=text, lineno=lineno, col=col)
-            for index, (kind, text, lineno, col) in enumerate(payload["nodes"])
-        ]
-        graph.edges = {
-            EdgeKind(kind): [(int(source), int(target)) for source, target in pairs]
-            for kind, pairs in payload["edges"].items()
-        }
-        graph.symbols = [
+        for kind, text, lineno, col in payload["nodes"]:
+            arena.add_node(NodeKind(kind), text, lineno=lineno, col=col)
+        for kind, pairs in payload["edges"].items():
+            edge_kind = EdgeKind(kind)
+            for source, target in pairs:
+                arena.add_edge(edge_kind, int(source), int(target))
+        arena.symbols = [
             SymbolInfo(
                 node_index=node_index,
                 name=name,
@@ -149,12 +139,13 @@ def graph_from_payload(payload: dict[str, Any], filename: Optional[str] = None) 
             )
             for node_index, name, kind, scope, annotation, lineno, occurrences in payload["symbols"]
         ]
-        graph.validate()
+        flat = arena.finish()
+        flat.validate()
     except PayloadError:
         raise
-    except (KeyError, TypeError, ValueError, AttributeError) as error:
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError) as error:
         raise PayloadError(f"malformed graph payload: {error}") from error
-    return graph
+    return CodeGraph.from_flat(flat)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +378,7 @@ def write_graph_shard(path, graphs: Sequence[CodeGraph]) -> None:
 
 
 def read_graph_shard(path) -> list[CodeGraph]:
-    """Read a binary shard back as (lazily materialised) :class:`CodeGraph`\\ s."""
+    """Read a binary shard back as :class:`CodeGraph` views over its arrays."""
     with np.load(path, allow_pickle=False) as archive:
         flats = flat_graphs_from_arrays(archive)
     return [CodeGraph.from_flat(flat) for flat in flats]
@@ -638,10 +629,7 @@ class LazyGraphStore:
 
     @staticmethod
     def _cost(graph: CodeGraph) -> int:
-        flat = graph.flat
-        if flat is not None:
-            return flat.nbytes
-        return len(graph.source)  # object-backed fallback; never hit for raw shards
+        return graph.flat.nbytes
 
     def graph(self, index: int) -> CodeGraph:
         cached = self._cache.get(index)

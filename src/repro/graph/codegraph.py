@@ -1,25 +1,30 @@
 """The program-graph container produced by :mod:`repro.graph.builder`.
 
-Since the columnar refactor, :class:`CodeGraph` is a thin *view* over a
-:class:`~repro.graph.flatgraph.FlatGraph` arena: hot paths (featurization,
-batch assembly, persistence) read the flat arrays through :attr:`flat`.
-Symbols are always object-backed (few, and callers hold live references);
-``nodes`` / ``edges`` materialise lazily on first access, and that access
-*drops* the flat backing — once the mutable containers are visible they are
-the single source of truth, so in-place edits can never silently diverge
-from stale arrays.  Graphs built by hand through ``add_node``/``add_edge``
-(tests, ad-hoc tooling) behave exactly as before — they simply carry no
-flat backing until :meth:`to_flat` is called.
+A :class:`CodeGraph` is a read-only view over one
+:class:`~repro.graph.flatgraph.FlatGraph`: hot paths (featurization, batch
+assembly, persistence) read the arrays through :attr:`flat`, and the
+``nodes`` / ``edges`` views are immutable tuples built from the arrays on
+first access and cached.  Reading them never changes the representation;
+editing them raises.  Symbols are the one live part: they are few, callers
+hold references to them and occasionally edit them (an annotation attached
+by the pipeline), and :meth:`to_flat` rebuilds the symbol columns from the
+objects.  New graphs are built with
+:class:`~repro.graph.flatgraph.FlatGraphBuilder` and wrapped with
+:meth:`CodeGraph.from_flat`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Optional
+
+import numpy as np
 
 from repro.graph.edges import EdgeKind
-from repro.graph.flatgraph import FlatGraph, flatten_graph
+from repro.graph.flatgraph import NODE_KIND_ORDER, FlatGraph, rebuild_symbol_columns
 from repro.graph.nodes import GraphNode, NodeKind, SymbolInfo, SymbolKind
-from repro.graph.subtokens import split_identifier
+
+EdgePairs = tuple[tuple[int, int], ...]
 
 
 class CodeGraph:
@@ -30,136 +35,88 @@ class CodeGraph:
     the (erased) ground-truth annotation used for supervision and evaluation.
     """
 
-    def __init__(
-        self,
-        filename: str = "<unknown>",
-        source: str = "",
-        nodes: Optional[list[GraphNode]] = None,
-        edges: Optional[dict[EdgeKind, list[tuple[int, int]]]] = None,
-        symbols: Optional[list[SymbolInfo]] = None,
-    ) -> None:
-        self.filename = filename
-        self.source = source
-        self._flat: Optional[FlatGraph] = None
-        self._nodes: Optional[list[GraphNode]] = nodes if nodes is not None else []
-        self._edges: Optional[dict[EdgeKind, list[tuple[int, int]]]] = (
-            dict(edges) if edges is not None else {}
+    def __init__(self, *args, **kwargs) -> None:
+        raise TypeError(
+            "CodeGraph is a view over a FlatGraph: build with FlatGraphBuilder "
+            "and wrap the result with CodeGraph.from_flat"
         )
-        self._symbols: Optional[list[SymbolInfo]] = symbols if symbols is not None else []
-
-    # -- flat backing -----------------------------------------------------------
 
     @classmethod
     def from_flat(cls, flat: FlatGraph, filename: Optional[str] = None) -> "CodeGraph":
-        """Wrap a columnar graph; nodes and edges stay as arrays until asked for.
+        """Wrap a columnar graph, optionally relabelled to ``filename``.
 
-        Symbols are materialised eagerly: they are few (one object per
-        symbol, versus hundreds of nodes), callers hold live references to
-        them (the ingest worker, the pipeline's suggestion paths), and
-        keeping them object-backed means any mutation is naturally picked
-        up by :meth:`to_flat`, which rebuilds the symbol columns from the
-        objects.
+        Symbols are materialised eagerly (one object per symbol, versus
+        hundreds of nodes) so that callers can hold and edit them.
         """
         if filename is not None:
             flat = flat.with_filename(filename)
         graph = cls.__new__(cls)
-        graph.filename = flat.filename
-        graph.source = flat.source
         graph._flat = flat
         graph._nodes = None
         graph._edges = None
         graph._symbols = flat.materialise_symbols()
         return graph
 
-    @property
-    def flat(self) -> Optional[FlatGraph]:
-        """The columnar backing, or ``None`` for object-built/mutated graphs.
+    # -- the backing arrays --------------------------------------------------------
 
-        The backing is dropped the moment object nodes or edges are exposed
-        (through the properties or a mutation), so a stale-array state is
-        unreachable: either consumers read the arrays, or they hold the
-        (mutable) objects and the arrays are gone.
-        """
+    @property
+    def flat(self) -> FlatGraph:
+        """The columnar backing (node and edge arrays are never rebuilt)."""
         return self._flat
 
-    def to_flat(self) -> FlatGraph:
-        """This graph as a :class:`FlatGraph`.
-
-        With an intact backing only the symbol columns are rebuilt (from
-        the live :class:`SymbolInfo` objects — see :meth:`from_flat`); the
-        node and edge arrays are reused as-is.  Object-backed graphs are
-        flattened wholesale.
-        """
-        if self._flat is not None:
-            from repro.graph.flatgraph import rebuild_symbol_columns
-
-            flat = rebuild_symbol_columns(self._flat, self._symbols)
-            if flat.filename != self.filename or flat.source != self.source:
-                from dataclasses import replace
-
-                flat = replace(flat, filename=self.filename, source=self.source)
-            return flat
-        return flatten_graph(self.filename, self.source, self.nodes, self.edges, self.symbols)
-
-    def _materialise(self) -> None:
-        """Reconstruct object nodes/edges and drop the flat backing.
-
-        Once the mutable object containers are visible to callers the
-        arrays can silently go stale, so they are discarded rather than
-        kept alongside.
-        """
-        flat = self._flat
-        if flat is None:
-            return
-        strings = flat.strings
-        kinds = flat.node_kind.tolist()
-        texts = flat.node_text.tolist()
-        lines = flat.node_line.tolist()
-        cols = flat.node_col.tolist()
-        from repro.graph.flatgraph import NODE_KIND_ORDER
-
-        self._nodes = [
-            GraphNode(index=i, kind=NODE_KIND_ORDER[kinds[i]], text=strings[texts[i]],
-                      lineno=lines[i], col=cols[i])
-            for i in range(len(kinds))
-        ]
-        self._edges = {
-            kind: [tuple(pair) for pair in pairs.T.tolist()]
-            for kind, pairs in flat.edges.items()
-        }
-        self._flat = None
-
-    # -- materialised views ------------------------------------------------------
+    @property
+    def filename(self) -> str:
+        return self._flat.filename
 
     @property
-    def nodes(self) -> list[GraphNode]:
+    def source(self) -> str:
+        return self._flat.source
+
+    def to_flat(self) -> FlatGraph:
+        """This graph as a :class:`FlatGraph`, including any symbol edits.
+
+        The node and edge arrays are reused as-is; the symbol columns are
+        rebuilt from the live :class:`SymbolInfo` objects only when one of
+        them was edited.
+        """
+        return rebuild_symbol_columns(self._flat, self._symbols)
+
+    # -- read-only views -------------------------------------------------------------
+
+    @property
+    def nodes(self) -> tuple[GraphNode, ...]:
+        """Every node as a frozen :class:`GraphNode`, in index order (cached)."""
         if self._nodes is None:
-            self._materialise()
+            flat = self._flat
+            strings = flat.strings
+            kinds = flat.node_kind.tolist()
+            texts = flat.node_text.tolist()
+            lines = flat.node_line.tolist()
+            cols = flat.node_col.tolist()
+            self._nodes = tuple(
+                GraphNode(index=i, kind=NODE_KIND_ORDER[kinds[i]], text=strings[texts[i]],
+                          lineno=lines[i], col=cols[i])
+                for i in range(len(kinds))
+            )
         return self._nodes
 
-    @nodes.setter
-    def nodes(self, value: list[GraphNode]) -> None:
-        self._materialise()
-        self._nodes = value
-
     @property
-    def edges(self) -> dict[EdgeKind, list[tuple[int, int]]]:
+    def edges(self) -> Mapping[EdgeKind, EdgePairs]:
+        """Edge kind → ``(source, target)`` pairs, insertion order (cached)."""
         if self._edges is None:
-            self._materialise()
+            self._edges = MappingProxyType({
+                kind: tuple(tuple(pair) for pair in pairs.T.tolist())
+                for kind, pairs in self._flat.edges.items()
+            })
         return self._edges
-
-    @edges.setter
-    def edges(self, value: dict[EdgeKind, list[tuple[int, int]]]) -> None:
-        self._materialise()
-        self._edges = dict(value)
 
     @property
     def symbols(self) -> list[SymbolInfo]:
         return self._symbols
 
-    @symbols.setter
-    def symbols(self, value: list[SymbolInfo]) -> None:
-        self._symbols = value
+    def __getstate__(self) -> dict:
+        # The views are rebuilt on demand, and a mapping proxy cannot be pickled.
+        return {**self.__dict__, "_nodes": None, "_edges": None}
 
     # -- equality / repr -----------------------------------------------------------
 
@@ -173,26 +130,18 @@ class CodeGraph:
         ):
             return False
         mine, theirs = self._flat, other._flat
-        if mine is not None and theirs is not None:
-            # Compare through the arrays so equality checks never drop the
-            # columnar backing.  Text ids are table-local, so texts (not
-            # ids) are compared; kind codes are canonical.
-            import numpy as np
-
-            if mine is theirs:
-                return True
-            return (
-                np.array_equal(mine.node_kind, theirs.node_kind)
-                and np.array_equal(mine.node_line, theirs.node_line)
-                and np.array_equal(mine.node_col, theirs.node_col)
-                and mine.node_texts() == theirs.node_texts()
-                and set(mine.edges) == set(theirs.edges)
-                and all(
-                    np.array_equal(pairs, theirs.edges[kind])
-                    for kind, pairs in mine.edges.items()
-                )
-            )
-        return self.nodes == other.nodes and dict(self.edges) == dict(other.edges)
+        if mine is theirs:
+            return True
+        # Text ids are table-local, so texts (not ids) are compared; kind
+        # codes are canonical.
+        return (
+            np.array_equal(mine.node_kind, theirs.node_kind)
+            and np.array_equal(mine.node_line, theirs.node_line)
+            and np.array_equal(mine.node_col, theirs.node_col)
+            and mine.node_texts() == theirs.node_texts()
+            and set(mine.edges) == set(theirs.edges)
+            and all(np.array_equal(pairs, theirs.edges[kind]) for kind, pairs in mine.edges.items())
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -200,92 +149,29 @@ class CodeGraph:
             f"edges={self.num_edges}, symbols={len(self.symbols)})"
         )
 
-    # -- construction ---------------------------------------------------------
-
-    def add_node(self, kind: NodeKind, text: str, lineno: int = -1, col: int = -1) -> int:
-        self._materialise()
-        node = GraphNode(index=len(self._nodes), kind=kind, text=text, lineno=lineno, col=col)
-        self._nodes.append(node)
-        return node.index
-
-    def add_edge(self, kind: EdgeKind, source: int, target: int) -> None:
-        self._materialise()
-        if source == target:
-            return
-        if not (0 <= source < len(self._nodes) and 0 <= target < len(self._nodes)):
-            raise IndexError(
-                f"edge {kind.value} references missing node ({source}, {target}); "
-                f"graph has {len(self._nodes)} nodes"
-            )
-        self._edges.setdefault(kind, []).append((source, target))
-
-    def add_symbol(
-        self,
-        name: str,
-        kind: SymbolKind,
-        scope: str,
-        annotation: Optional[str] = None,
-        lineno: int = -1,
-    ) -> SymbolInfo:
-        node_index = self.add_node(NodeKind.SYMBOL, name, lineno=lineno)
-        info = SymbolInfo(
-            node_index=node_index,
-            name=name,
-            kind=kind,
-            scope=scope,
-            annotation=annotation,
-            lineno=lineno,
-        )
-        self._symbols.append(info)
-        return info
-
     # -- queries ----------------------------------------------------------------
 
     @property
     def num_nodes(self) -> int:
-        if self._flat is not None:
-            return self._flat.num_nodes
-        return len(self._nodes)
+        return self._flat.num_nodes
 
     @property
     def num_edges(self) -> int:
-        if self._flat is not None:
-            return self._flat.num_edges
-        return sum(len(pairs) for pairs in self._edges.values())
+        return self._flat.num_edges
 
-    def edges_of(self, kind: EdgeKind):
-        """The pair list of one edge kind.
-
-        Reading never mutates the graph: a kind with no edges yields an
-        empty tuple without inserting anything (the historical defaultdict
-        storage grew a spurious empty list per queried kind, polluting
-        serialization payloads and equality checks).
-        """
-        if self._flat is not None:
-            pairs = self._flat.edges.get(kind)
-            if pairs is None:
-                return ()
-            return [tuple(pair) for pair in pairs.T.tolist()]
-        pairs = self._edges.get(kind)
-        return list(pairs) if pairs else ()
+    def edges_of(self, kind: EdgeKind) -> EdgePairs:
+        """The pairs of one edge kind; ``()`` for a kind with no edges."""
+        return self.edges.get(kind, ())
 
     def node_texts(self) -> list[str]:
-        """Every node's text, without materialising node objects."""
-        if self._flat is not None:
-            return self._flat.node_texts()
-        return [node.text for node in self.nodes]
+        """Every node's text, without building node objects."""
+        return self._flat.node_texts()
 
     def nodes_of_kind(self, kind: NodeKind) -> list[GraphNode]:
         return [node for node in self.nodes if node.kind == kind]
 
     def count_of_kind(self, kind: NodeKind) -> int:
-        """Number of nodes of one kind (array count when flat-backed)."""
-        if self._flat is not None:
-            return self._flat.count_of_kind(kind)
-        return len(self.nodes_of_kind(kind))
-
-    def symbol_nodes(self) -> list[GraphNode]:
-        return self.nodes_of_kind(NodeKind.SYMBOL)
+        return self._flat.count_of_kind(kind)
 
     def annotated_symbols(self) -> list[SymbolInfo]:
         return [symbol for symbol in self.symbols if symbol.is_annotated]
@@ -309,44 +195,19 @@ class CodeGraph:
 
     def node_subtokens(self) -> Iterator[tuple[int, list[str]]]:
         """Yield ``(node_index, subtokens)`` for initialising node states (Eq. 7)."""
-        if self._flat is not None:
-            yield from self._flat.node_subtokens()
-            return
-        for node in self.nodes:
-            yield node.index, split_identifier(node.text)
+        return self._flat.node_subtokens()
 
     def without_edges(self, excluded: Iterable[EdgeKind]) -> "CodeGraph":
-        """Return a copy of the graph with the given edge kinds removed.
+        """A copy of the graph with the given edge kinds removed (Table 4 ablations).
 
-        Used by the ablation experiments of Table 4; nodes and symbols are
-        shared (they are not mutated by the models).
+        The copy shares the node arrays and carries the current symbols,
+        edits included.
         """
-        excluded_set = set(excluded)
-        if self._flat is not None:
-            return CodeGraph.from_flat(self._flat.without_edges(excluded_set))
-        clone = CodeGraph(filename=self.filename, source=self.source)
-        clone._nodes = self.nodes
-        clone._symbols = self.symbols
-        clone._edges = {
-            kind: list(pairs) for kind, pairs in self.edges.items() if kind not in excluded_set
-        }
-        return clone
+        return CodeGraph.from_flat(self.to_flat().without_edges(excluded))
 
     def validate(self) -> None:
         """Check internal consistency; raises ``ValueError`` on violation."""
-        if self._flat is not None:
-            self._flat.validate()
-            return
-        for kind, pairs in self.edges.items():
-            for source, target in pairs:
-                if not (0 <= source < len(self.nodes)) or not (0 <= target < len(self.nodes)):
-                    raise ValueError(f"dangling edge {kind.value}: ({source}, {target})")
-        node_indices = {node.index for node in self.nodes}
-        if node_indices != set(range(len(self.nodes))):
-            raise ValueError("node indices are not contiguous")
-        for symbol in self.symbols:
-            if self.nodes[symbol.node_index].kind != NodeKind.SYMBOL:
-                raise ValueError(f"symbol {symbol.qualified_name} does not point at a symbol node")
+        self.to_flat().validate()
 
     def summary(self) -> dict[str, int]:
         """Small statistics dictionary used by corpus reporting."""

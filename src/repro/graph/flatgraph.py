@@ -1,13 +1,10 @@
 """Arena/columnar program-graph storage: the :class:`FlatGraph` core.
 
-Every layer downstream of graph extraction — featurization, batch assembly,
-dataset persistence, the annotation engine — used to traverse graphs made of
-one :class:`~repro.graph.nodes.GraphNode` dataclass per node, a dict of
-Python tuple lists per edge kind and one :class:`SymbolInfo` per symbol.
-At corpus scale that is millions of small heap objects and repeated string
-keys on every hot path.
-
-This module stores the same information as a handful of flat arrays:
+A program graph stored as one object per node, a tuple list per edge kind
+and one :class:`SymbolInfo` per symbol costs millions of small heap objects
+and repeated string keys at corpus scale.  Every layer downstream of graph
+extraction — featurization, batch assembly, dataset persistence, the
+annotation engine — therefore reads a handful of flat arrays instead:
 
 * an **interned string table** — every node text, symbol name, scope and
   annotation appears exactly once; nodes refer to strings by ``int32`` id;
@@ -22,10 +19,10 @@ This module stores the same information as a handful of flat arrays:
 
 :class:`FlatGraphBuilder` is the *arena* the graph builder appends into
 while walking a file; :meth:`FlatGraphBuilder.finish` freezes the arena
-into an immutable :class:`FlatGraph`.  :class:`~repro.graph.codegraph.CodeGraph`
-remains the public container type but is now a thin lazy view over these
-arrays — object nodes/edges/symbols are only materialised when legacy code
-asks for them.
+into an immutable :class:`FlatGraph`.  It is the only way to build a graph:
+:class:`~repro.graph.codegraph.CodeGraph` is a read-only view over a
+:class:`FlatGraph` whose node and edge objects are derived from these arrays
+on demand.
 """
 
 from __future__ import annotations
@@ -35,14 +32,13 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.graph.edges import ALL_EDGE_KINDS, EdgeKind
+from repro.graph.edges import EdgeKind
 from repro.graph.nodes import NodeKind, SymbolInfo, SymbolKind, is_identifier_text
 
 __all__ = [
     "FlatGraph",
     "FlatGraphBuilder",
     "StringTable",
-    "flatten_graph",
     "rebuild_symbol_columns",
     "is_identifier_text",
 ]
@@ -190,7 +186,8 @@ class FlatGraph:
         return None if annotation_id == NO_ANNOTATION else self.strings[annotation_id]
 
     def materialise_symbols(self) -> list[SymbolInfo]:
-        """Rebuild per-symbol :class:`SymbolInfo` records (compat path)."""
+        """Rebuild the per-symbol :class:`SymbolInfo` records a
+        :class:`~repro.graph.codegraph.CodeGraph` view holds."""
         strings = self.strings
         nodes = self.symbol_node.tolist()
         names = self.symbol_name.tolist()
@@ -269,9 +266,8 @@ class FlatGraph:
 class FlatGraphBuilder:
     """The mutable arena a single graph construction appends into.
 
-    Mirrors the old ``CodeGraph`` construction API (``add_node`` /
-    ``add_edge`` / ``add_symbol``) but stores columns of plain ints and an
-    intern table instead of per-node objects.  Symbols are accumulated as
+    ``add_node`` / ``add_edge`` / ``add_symbol`` append to columns of plain
+    ints and an intern table.  Symbols are accumulated as
     :class:`SymbolInfo` records (they are few and the AST walk mutates them
     freely); :meth:`finish` freezes everything into a :class:`FlatGraph`.
     """
@@ -439,13 +435,14 @@ def _symbols_match_columns(flat: FlatGraph, symbols: Sequence[SymbolInfo]) -> bo
 def rebuild_symbol_columns(flat: FlatGraph, symbols: Sequence[SymbolInfo]) -> FlatGraph:
     """``flat`` with its symbol columns rebuilt from live symbol objects.
 
-    The :class:`~repro.graph.codegraph.CodeGraph` view keeps symbols
-    object-backed (callers hold and occasionally mutate them), so
-    persistence re-derives the symbol arrays — and any newly introduced
+    Symbols are the one editable part of a
+    :class:`~repro.graph.codegraph.CodeGraph` (callers hold and occasionally
+    edit them), so :meth:`~repro.graph.codegraph.CodeGraph.to_flat`
+    re-derives the symbol arrays — and any newly introduced
     name/scope/annotation strings — from the objects while reusing the node
     and edge arrays untouched.  When the objects still match the stored
-    columns (the common case: nobody edited them), the original arrays are
-    returned as-is.
+    columns (the common case: nobody edited them), ``flat`` itself is
+    returned.
     """
     if _symbols_match_columns(flat, symbols):
         return flat
@@ -486,30 +483,3 @@ def rebuild_symbol_columns(flat: FlatGraph, symbols: Sequence[SymbolInfo]) -> Fl
         _subtoken_cache=flat._subtoken_cache,
     )
 
-
-def flatten_graph(
-    filename: str,
-    source: str,
-    nodes: Sequence,
-    edges: dict[EdgeKind, Sequence[tuple[int, int]]],
-    symbols: Sequence[SymbolInfo],
-) -> FlatGraph:
-    """Flatten materialised node/edge/symbol objects into a :class:`FlatGraph`.
-
-    The inverse of :meth:`FlatGraph.materialise_symbols` + node/edge
-    reconstruction; used when an object-built graph (legacy JSON payloads,
-    hand-constructed test graphs) enters a flat-only path such as binary
-    shard persistence.
-    """
-    arena = FlatGraphBuilder(filename=filename, source=source)
-    for node in nodes:
-        arena._node_kind.append(NODE_KIND_CODES[node.kind])
-        arena._node_text.append(arena.strings.intern(node.text))
-        arena._node_line.append(node.lineno)
-        arena._node_col.append(node.col)
-    for kind in ALL_EDGE_KINDS:
-        pairs = edges.get(kind)
-        if pairs:
-            arena._edges[kind] = [(int(source), int(target)) for source, target in pairs]
-    arena.symbols = list(symbols)
-    return arena.finish()

@@ -50,7 +50,7 @@ def is_identifier_text(text: str) -> bool:
     return bool(text) and (text[0].isalpha() or text[0] == "_")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GraphNode:
     """A single node of the program graph.
 

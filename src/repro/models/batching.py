@@ -66,10 +66,8 @@ class GraphBatch:
 def build_graph_batch(graphs: Sequence[CodeGraph], targets_per_graph: Sequence[Sequence[int]]) -> GraphBatch:
     """Merge graphs into one disjoint graph, remapping target node indices.
 
-    Columnar graphs contribute their edge arrays directly (offset-shifted
-    views of the ``(2, E)`` blocks, no tuple-list walking); object-built
-    graphs go through the legacy per-pair path.  Both produce identical
-    batches.
+    Each graph contributes its edge arrays directly (offset-shifted views
+    of the ``(2, E)`` blocks, no tuple-list walking).
     """
     if len(graphs) != len(targets_per_graph):
         raise ValueError("graphs and targets_per_graph must have the same length")
@@ -83,17 +81,9 @@ def build_graph_batch(graphs: Sequence[CodeGraph], targets_per_graph: Sequence[S
     for graph_index, (graph, targets) in enumerate(zip(graphs, targets_per_graph)):
         offset = offsets[graph_index]
         flat = graph.flat
-        if flat is not None:
-            node_texts.extend(flat.node_texts())
-            for kind, pairs in flat.edges.items():
-                edge_chunks.setdefault(kind, []).append(pairs.T.astype(np.int64) + offset)
-        else:
-            node_texts.extend(node.text for node in graph.nodes)
-            for kind, pairs in graph.edges.items():
-                if pairs:
-                    edge_chunks.setdefault(kind, []).append(np.asarray(pairs, dtype=np.int64) + offset)
-                else:
-                    edge_chunks.setdefault(kind, [])
+        node_texts.extend(flat.node_texts())
+        for kind, pairs in flat.edges.items():
+            edge_chunks.setdefault(kind, []).append(pairs.T.astype(np.int64) + offset)
         target_chunks.append(np.asarray(list(targets), dtype=np.int64) + offset)
 
     edges = {
@@ -113,23 +103,15 @@ def build_graph_batch(graphs: Sequence[CodeGraph], targets_per_graph: Sequence[S
 
 
 def token_view(graph: CodeGraph, max_tokens: int):
-    """``(texts, node-index → position, OCCURRENCE_OF pairs)`` for one graph.
-
-    Reads the columnar arrays when the graph is flat-backed (no node-object
-    materialisation); falls back to the object walk otherwise.
-    """
+    """``(texts, node-index → position, OCCURRENCE_OF pairs)`` for one graph,
+    read from the columnar arrays."""
     flat = graph.flat
-    if flat is not None:
-        token_indices = flat.node_indices_of_kind(NodeKind.TOKEN)[:max_tokens].tolist()
-        strings = flat.strings
-        texts = [strings[i] for i in flat.node_text[token_indices].tolist()]
-        position_of_node = {node: position for position, node in enumerate(token_indices)}
-        occurrence_pairs = flat.edge_array(EdgeKind.OCCURRENCE_OF).T.tolist()
-        return texts, position_of_node, occurrence_pairs
-    token_nodes = [node for node in graph.nodes if node.kind == NodeKind.TOKEN][:max_tokens]
-    position_of_node = {node.index: position for position, node in enumerate(token_nodes)}
-    texts = [node.text for node in token_nodes]
-    return texts, position_of_node, graph.edges_of(EdgeKind.OCCURRENCE_OF)
+    token_indices = flat.node_indices_of_kind(NodeKind.TOKEN)[:max_tokens].tolist()
+    strings = flat.strings
+    texts = [strings[i] for i in flat.node_text[token_indices].tolist()]
+    position_of_node = {node: position for position, node in enumerate(token_indices)}
+    occurrence_pairs = flat.edge_array(EdgeKind.OCCURRENCE_OF).T.tolist()
+    return texts, position_of_node, occurrence_pairs
 
 
 # ---------------------------------------------------------------------------

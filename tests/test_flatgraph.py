@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import graph_oracle
 from repro.corpus.serialize import (
     PayloadError,
     flat_graphs_from_arrays,
@@ -26,17 +27,6 @@ from repro.models.batching import build_graph_batch, build_sequence_batch
 @pytest.fixture()
 def graph(sample_source) -> CodeGraph:
     return build_graph(sample_source, "sample.py")
-
-
-def materialised_copy(graph: CodeGraph) -> CodeGraph:
-    """The same graph as plain objects, with no flat backing."""
-    return CodeGraph(
-        filename=graph.filename,
-        source=graph.source,
-        nodes=list(graph.nodes),
-        edges={kind: list(pairs) for kind, pairs in graph.edges.items()},
-        symbols=list(graph.symbols),
-    )
 
 
 class TestStringTable:
@@ -80,7 +70,7 @@ class TestArena:
             assert node.lineno == int(flat.node_line[node.index])
             assert node.col == int(flat.node_col[node.index])
         for kind, pairs in graph.edges.items():
-            assert pairs == [tuple(pair) for pair in flat.edges[kind].T.tolist()]
+            assert pairs == tuple(tuple(pair) for pair in flat.edges[kind].T.tolist())
         for position, symbol in enumerate(graph.symbols):
             assert symbol.node_index == int(flat.symbol_node[position])
             assert symbol.annotation == flat.annotation_of(position)
@@ -107,7 +97,7 @@ class TestArena:
         assert flat.num_edges == 1
 
     def test_flat_round_trip_through_objects(self, graph):
-        rebuilt = CodeGraph.from_flat(materialised_copy(graph).to_flat())
+        rebuilt = graph_oracle.rebuilt(graph)
         assert graph_to_payload(rebuilt) == graph_to_payload(graph)
         assert rebuilt == graph
 
@@ -117,31 +107,34 @@ class TestArena:
 
 
 class TestCodeGraphView:
-    def test_mutation_drops_flat_backing(self, graph):
-        assert graph.flat is not None
-        index = graph.add_node(NodeKind.TOKEN, "extra")
-        assert graph.flat is None
-        assert graph.nodes[index].text == "extra"
-        graph.validate()
+    def test_node_and_edge_views_are_read_only(self, graph):
+        """Editing the object views raises instead of being silently lost,
+        and neither the edits nor the reads touch the arrays."""
+        from dataclasses import FrozenInstanceError
 
-    def test_in_place_edge_mutation_is_never_silently_lost(self, graph):
-        """Appending to the materialised edges dict must be reflected by
-        num_edges and survive to_flat/persistence (the flat backing is
-        dropped as soon as the mutable containers are exposed)."""
-        before = graph.num_edges
-        graph.edges[EdgeKind.CHILD].append((0, 1))
-        assert graph.flat is None
-        assert graph.num_edges == before + 1
-        assert (0, 1) in CodeGraph.from_flat(graph.to_flat()).edges[EdgeKind.CHILD]
-
-    def test_in_place_node_list_mutation_is_never_silently_lost(self, graph):
         from repro.graph.nodes import GraphNode
 
-        before = graph.num_nodes
-        graph.nodes.append(GraphNode(index=before, kind=NodeKind.TOKEN, text="extra"))
-        assert graph.flat is None
-        assert graph.num_nodes == before + 1
-        assert CodeGraph.from_flat(graph.to_flat()).num_nodes == before + 1
+        flat = graph.flat
+        before = graph_to_payload(graph)
+        with pytest.raises(AttributeError):
+            graph.nodes.append(GraphNode(index=graph.num_nodes, kind=NodeKind.TOKEN, text="extra"))
+        with pytest.raises(TypeError):
+            graph.nodes[0] = GraphNode(index=0, kind=NodeKind.TOKEN, text="extra")
+        with pytest.raises(FrozenInstanceError):
+            graph.nodes[0].text = "extra"
+        with pytest.raises(AttributeError):
+            graph.edges[EdgeKind.CHILD].append((0, 1))
+        with pytest.raises(TypeError):
+            graph.edges[EdgeKind.CHILD] = ((0, 1),)
+        with pytest.raises(AttributeError):
+            graph.nodes = ()
+        with pytest.raises(AttributeError):
+            graph.edges = {}
+        with pytest.raises(TypeError):
+            CodeGraph()
+        assert graph.flat is flat and graph.to_flat() is flat
+        assert graph.nodes is graph.nodes and graph.edges is graph.edges  # built once
+        assert graph_to_payload(graph) == before
 
     def test_symbol_mutation_survives_flat_round_trip(self, graph):
         """Symbols stay object-backed on flat graphs; editing one (e.g. the
@@ -158,9 +151,17 @@ class TestCodeGraphView:
         flat = graph.flat
         assert graph.to_flat() is flat  # fast path: nothing to rebuild
 
+    def test_without_edges_keeps_symbol_edits(self):
+        graph = build_graph("def f(x):\n    y = x + 1\n    return y\n", "edit.py")
+        graph.find_symbol("x").annotation = "int"
+        ablated = graph.without_edges([EdgeKind.SUBTOKEN_OF])
+        assert ablated.find_symbol("x").annotation == "int"
+        assert ablated.flat.node_kind is graph.flat.node_kind  # node arrays shared
+
     def test_edges_of_missing_kind_returns_empty_tuple_without_insertion(self):
-        graph = CodeGraph(filename="tiny.py")
-        graph.add_node(NodeKind.TOKEN, "x")
+        arena = FlatGraphBuilder(filename="tiny.py")
+        arena.add_node(NodeKind.TOKEN, "x")
+        graph = CodeGraph.from_flat(arena.finish())
         before = graph_to_payload(graph)
         assert graph.edges_of(EdgeKind.NEXT_MAY_USE) == ()
         _ = graph.num_edges
@@ -180,11 +181,10 @@ class TestCodeGraphView:
         assert pristine == graph
 
     def test_flat_backed_edges_of_matches_materialised(self, graph):
-        flat_backed = build_graph(graph.source, graph.filename)
-        materialised = materialised_copy(graph)
         for kind in EdgeKind:
-            flat_pairs = flat_backed.edges_of(kind)
-            assert list(flat_pairs) == list(materialised.edges_of(kind))
+            pairs = graph.edges_of(kind)
+            assert list(pairs) == [tuple(pair) for pair in graph.flat.edge_array(kind).T.tolist()]
+            assert pairs == graph.edges.get(kind, ())
 
     def test_without_edges_stays_flat(self, graph):
         ablated = graph.without_edges([EdgeKind.SUBTOKEN_OF, EdgeKind.NEXT_TOKEN])
@@ -196,16 +196,21 @@ class TestCodeGraphView:
 
     def test_summary_identical_with_and_without_materialisation(self, graph, sample_source):
         fresh = build_graph(sample_source, graph.filename)
-        assert fresh.summary() == materialised_copy(graph).summary()
+        summary = fresh.summary()
+        assert summary["tokens"] == len(graph.nodes_of_kind(NodeKind.TOKEN))
+        assert summary["vocabulary"] == len(graph.nodes_of_kind(NodeKind.VOCABULARY))
+        assert summary["non_terminals"] == len(graph.nodes_of_kind(NodeKind.NON_TERMINAL))
+        assert summary == graph.summary()
 
-    def test_node_subtokens_identical(self, graph, sample_source):
-        flat_backed = build_graph(sample_source, graph.filename)
-        assert list(flat_backed.node_subtokens()) == list(materialised_copy(graph).node_subtokens())
+    def test_node_subtokens_identical(self, graph):
+        assert list(graph.node_subtokens()) == graph_oracle.node_subtokens(graph)
 
     def test_graphs_pickle_across_process_boundaries(self, graph):
         import pickle
 
+        _ = graph.nodes, graph.edges  # the cached views must not block pickling
         clone = pickle.loads(pickle.dumps(graph))
+        assert clone.edges == graph.edges and clone.nodes == graph.nodes
         assert clone.flat is not None
         assert graph_to_payload(clone) == graph_to_payload(graph)
 
@@ -230,7 +235,7 @@ class TestBinaryShards:
 
     def test_object_built_graphs_flatten_for_shards(self, graph, tmp_path):
         shard = tmp_path / "graphs-00000.npz"
-        write_graph_shard(shard, [materialised_copy(graph)])
+        write_graph_shard(shard, [graph_oracle.rebuilt(graph)])
         (loaded,) = read_graph_shard(shard)
         assert graph_to_payload(loaded) == graph_to_payload(graph)
 
@@ -269,20 +274,15 @@ class TestFlatConsumers:
         vocabulary.finalise()
         extractor = FeatureExtractor(SUBTOKEN, subtoken_vocabulary=vocabulary)
         via_table = extractor.features_for_graph(graph)
-        direct = extractor.features_for_texts([node.text for node in graph.nodes])
-        assert np.array_equal(via_table.ids, direct.ids)
-        assert np.array_equal(via_table.row_splits, direct.row_splits)
-        # object-built graphs take the fallback path, with equal output
-        fallback = extractor.features_for_graph(materialised_copy(graph))
-        assert np.array_equal(fallback.ids, direct.ids)
+        oracle = graph_oracle.features(extractor, graph)
+        assert np.array_equal(via_table.ids, oracle.ids)
+        assert np.array_equal(via_table.row_splits, oracle.row_splits)
 
     def test_graph_batches_identical_flat_vs_objects(self, graph):
         other = build_graph("def helper(value):\n    return value + 1\n", "helper.py")
         targets = [[symbol.node_index for symbol in g.symbols] for g in (graph, other)]
         flat_batch = build_graph_batch([graph, other], targets)
-        object_batch = build_graph_batch(
-            [materialised_copy(graph), materialised_copy(other)], targets
-        )
+        object_batch = graph_oracle.graph_batch([graph, other], targets)
         assert flat_batch.node_texts == object_batch.node_texts
         assert set(flat_batch.edges) == set(object_batch.edges)
         for kind in flat_batch.edges:
@@ -294,7 +294,7 @@ class TestFlatConsumers:
     def test_sequence_batches_identical_flat_vs_objects(self, graph):
         targets = [[symbol.node_index for symbol in graph.symbols]]
         flat_batch = build_sequence_batch([graph], targets, max_tokens=64)
-        object_batch = build_sequence_batch([materialised_copy(graph)], targets, max_tokens=64)
+        object_batch = graph_oracle.sequence_batch([graph], targets, max_tokens=64)
         assert flat_batch.token_texts == object_batch.token_texts
         assert flat_batch.sequence_length == object_batch.sequence_length
         assert flat_batch.target_occurrences == object_batch.target_occurrences

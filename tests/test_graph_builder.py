@@ -21,6 +21,7 @@ from repro.graph import (
     to_dot,
 )
 from repro.graph.builder import RETURN_SYMBOL_NAME, SymbolKey
+from repro.graph.flatgraph import FlatGraphBuilder
 
 
 @pytest.fixture()
@@ -220,13 +221,14 @@ class TestErrorsAndExport:
         assert dot.count("->") == graph.num_edges
 
     def test_add_edge_rejects_dangling_indices(self):
-        graph = CodeGraph()
-        graph.add_node(NodeKind.TOKEN, "x")
+        arena = FlatGraphBuilder()
+        arena.add_node(NodeKind.TOKEN, "x")
         with pytest.raises(IndexError):
-            graph.add_edge(EdgeKind.CHILD, 0, 5)
+            arena.add_edge(EdgeKind.CHILD, 0, 5)
 
     def test_self_loops_are_dropped(self):
-        graph = CodeGraph()
-        index = graph.add_node(NodeKind.TOKEN, "x")
-        graph.add_edge(EdgeKind.CHILD, index, index)
+        arena = FlatGraphBuilder()
+        index = arena.add_node(NodeKind.TOKEN, "x")
+        arena.add_edge(EdgeKind.CHILD, index, index)
+        graph = CodeGraph.from_flat(arena.finish())
         assert graph.num_edges == 0

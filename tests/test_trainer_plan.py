@@ -80,13 +80,27 @@ class TestBatchPlanAssembly:
     def test_batches_are_cached_across_epochs(self, plan_dataset):
         encoder = build_encoder(plan_dataset, EncoderConfig(family="graph", hidden_dim=16, gnn_steps=2, seed=9))
         split = plan_dataset.train
-        plan = BatchPlan(encoder, split)
         samples_by_graph = split.samples_by_graph()
         chosen = sorted(samples_by_graph)[:2]
         groups = [samples_by_graph[index] for index in chosen]
-        first = plan.batch(0, chosen, groups)
-        second = plan.batch(0, chosen, groups)
-        assert first is second
+        resident = BatchPlan(encoder, split)
+        assert resident.training_batch(0, chosen, groups) is resident.training_batch(0, chosen, groups)
+        lazy = BatchPlan(encoder, split, lazy=True)
+        assert lazy.training_batch(0, chosen, groups) is not lazy.training_batch(0, chosen, groups)
+
+    def test_reads_never_change_the_graph_representation(self, plan_dataset):
+        """A path-family epoch and a DOT export read every graph; each keeps
+        its FlatGraph and the very same arrays."""
+        from repro.graph import to_dot
+
+        graphs = list(plan_dataset.train.graphs)
+        before = [(graph.flat, graph.flat.node_kind, dict(graph.flat.edges)) for graph in graphs]
+        _losses(plan_dataset, "path", "float64", False, epochs=1)
+        for graph in graphs:
+            to_dot(graph)
+        for graph, (flat, node_kind, edges) in zip(graphs, before):
+            assert graph.flat is flat and graph.flat.node_kind is node_kind
+            assert all(graph.flat.edges[kind] is pairs for kind, pairs in edges.items())
 
     def test_path_family_plan_enables_memo_instead(self, plan_dataset):
         encoder = build_encoder(plan_dataset, EncoderConfig(family="path", hidden_dim=16, seed=9))

@@ -2,8 +2,10 @@
 
 import pytest
 
+import graph_oracle
 from repro.graph import CodeGraph, EdgeKind, NodeKind, build_graph, to_dot, write_dot
 from repro.graph.edges import ALL_EDGE_KINDS
+from repro.graph.flatgraph import FlatGraphBuilder
 
 SNIPPET = "def scale(value: int) -> int:\n    result = value * 2\n    return result\n"
 
@@ -59,21 +61,15 @@ class TestToDot:
         assert to_dot(graph.flat) == to_dot(graph)
 
     def test_materialised_graph_renders_identically(self, graph):
-        materialised = CodeGraph(
-            filename=graph.filename,
-            source=graph.source,
-            nodes=list(graph.nodes),
-            edges={kind: list(pairs) for kind, pairs in graph.edges.items()},
-            symbols=list(graph.symbols),
-        )
-        assert materialised.flat is None
-        assert to_dot(materialised) == to_dot(graph)
+        assert to_dot(graph) == graph_oracle.dot(graph)
+        assert to_dot(graph, max_label_length=5) == graph_oracle.dot(graph, max_label_length=5)
 
     def test_long_labels_truncated_and_quotes_escaped(self):
-        graph = CodeGraph(filename="weird.py")
-        graph.add_node(NodeKind.TOKEN, '"' + "x" * 50)
-        graph.add_node(NodeKind.TOKEN, "ok")
-        graph.add_edge(EdgeKind.NEXT_TOKEN, 0, 1)
+        arena = FlatGraphBuilder(filename="weird.py")
+        arena.add_node(NodeKind.TOKEN, '"' + "x" * 50)
+        arena.add_node(NodeKind.TOKEN, "ok")
+        arena.add_edge(EdgeKind.NEXT_TOKEN, 0, 1)
+        graph = CodeGraph.from_flat(arena.finish())
         dot = to_dot(graph, max_label_length=10)
         assert '\\"' in dot  # escaped quote
         assert "…" in dot  # truncation marker
