@@ -39,6 +39,39 @@ class CheckerMode(str, Enum):
     LENIENT = "lenient"  # pytype-like
 
 
+def attribute_statements(node: ast.ClassDef) -> dict[str, ast.stmt]:
+    """The statement that defines each attribute of a class, in attribute order.
+
+    Class-body annotations come first (the last one of a name wins), then
+    every method's first ``self.attr`` assignment (in ``ast.walk`` order) to
+    a name not seen yet.  A statement's annotation gives the attribute's
+    type; an unannotated assignment gives ``Any``.
+    """
+    statements: dict[str, ast.stmt] = {}
+    for member in node.body:
+        if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+            statements[member.target.id] = member
+    # self.attr assignments inside methods contribute attributes too.
+    for member in node.body:
+        if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for statement in ast.walk(member):
+            if isinstance(statement, ast.AnnAssign):
+                target = statement.target
+            elif isinstance(statement, ast.Assign) and len(statement.targets) == 1:
+                target = statement.targets[0]
+            else:
+                continue
+            if (
+                isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "self"
+                and target.attr not in statements
+            ):
+                statements[target.attr] = statement
+    return statements
+
+
 class OptionalTypeChecker:
     """Type check a Python module under optional-typing semantics."""
 
@@ -198,30 +231,14 @@ class OptionalTypeChecker:
 
     def _class_attributes(self, node: ast.ClassDef) -> dict[str, TypeExpr]:
         """A class's attribute types: its class-body annotations, then its ``self.attr`` assignments."""
-        attributes: dict[str, TypeExpr] = {}
-        for member in node.body:
-            if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
-                attributes[member.target.id] = self._annotation_or_any(member.annotation)
-        # self.attr assignments inside methods contribute attributes too.
-        for member in node.body:
-            if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for statement in ast.walk(member):
-                target: Optional[ast.expr] = None
-                annotation: Optional[ast.expr] = None
-                if isinstance(statement, ast.AnnAssign):
-                    target, annotation = statement.target, statement.annotation
-                elif isinstance(statement, ast.Assign) and len(statement.targets) == 1:
-                    target = statement.targets[0]
-                if (
-                    target is not None
-                    and isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                    and target.attr not in attributes
-                ):
-                    attributes[target.attr] = self._annotation_or_any(annotation) if annotation is not None else ANY
-        return attributes
+        return self._attribute_types(attribute_statements(node))
+
+    def _attribute_types(self, statements: dict[str, ast.stmt]) -> dict[str, TypeExpr]:
+        """Attribute types from :func:`attribute_statements`: the annotation, else ``Any``."""
+        return {
+            name: self._annotation_or_any(statement.annotation if isinstance(statement, ast.AnnAssign) else None)
+            for name, statement in statements.items()
+        }
 
     def _register_class_hierarchy(self, context: ModuleContext) -> None:
         for class_info in context.classes.values():

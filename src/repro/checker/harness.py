@@ -85,12 +85,15 @@ class SourcePredictionChecker:
     it; every prediction is then checked incrementally against that baseline
     (see :mod:`repro.checker.incremental`) and leaves nothing behind, so a
     verdict never depends on which predictions were checked before it.
+    Each distinct type string is parsed once; its expression node is only
+    ever read, so every prediction of that type shares it.
     """
 
     def __init__(self, source: str, mode: CheckerMode = CheckerMode.STRICT) -> None:
         self.source = source
         self.mode = mode
         self._checker: Optional[IncrementalChecker] = None
+        self._annotations: dict[str, ast.expr] = {}
 
     def check_prediction(
         self,
@@ -113,7 +116,9 @@ class SourcePredictionChecker:
         if canonical_prediction is None or canonical_prediction == "Any":
             return outcome(0, "prediction skipped (Any or unparsable)")
         try:
-            annotation = parse_annotation(predicted_type)
+            annotation = self._annotations.get(predicted_type)
+            if annotation is None:
+                annotation = self._annotations[predicted_type] = parse_annotation(predicted_type)
             if self._checker is None:
                 self._checker = IncrementalChecker(self.source, self.mode)
             return outcome(self._checker.introduced_errors(scope, name, kind, annotation))

@@ -37,10 +37,16 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.checker.checker import TOO_DEEP_MESSAGE, CheckerMode, OptionalTypeChecker
+from repro.checker.checker import (
+    TOO_DEEP_MESSAGE,
+    CheckerMode,
+    OptionalTypeChecker,
+    attribute_statements,
+)
 from repro.checker.env import ClassInfo, FunctionSignature, ModuleContext
 from repro.checker.errors import TypeCheckError
 from repro.graph.nodes import SymbolKind
+from repro.types.expr import TypeExpr
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -275,6 +281,11 @@ class IncrementalChecker(OptionalTypeChecker):
 
     Raises :class:`SyntaxError` for unparsable sources and
     :class:`RecursionError` for sources nested too deeply to check.
+
+    Two memos live as long as the checker: the type of every annotation
+    node it has read (the file's own and the candidates'), and each
+    top-level class's attribute-defining statements, so a ``self.attr``
+    edit re-reads those statements instead of walking every method.
     """
 
     def __init__(self, source: str, mode: CheckerMode = CheckerMode.STRICT) -> None:
@@ -283,6 +294,8 @@ class IncrementalChecker(OptionalTypeChecker):
         self._context = ModuleContext()
         self._scope_before: dict[int, tuple[dict, set]] = {}
         self._statement_errors: list[Counter] = []
+        self._annotation_types: dict[ast.expr, TypeExpr] = {}
+        self._attribute_statements: dict[ast.ClassDef, dict[str, ast.stmt]] = {}
         baseline = self.check_source(source)
         if self.tree is None:
             ast.parse(source)  # raises the SyntaxError the check reported
@@ -294,6 +307,31 @@ class IncrementalChecker(OptionalTypeChecker):
         defined = Counter(statement.name for statement in self.tree.body if isinstance(statement, _DEFINITIONS))
         self._redefined = {name for name, count in defined.items() if count > 1}
         self._uses = _Uses(self.tree)
+
+    def _annotation_or_any(self, node: Optional[ast.expr]) -> TypeExpr:
+        # Annotation nodes are never edited in place (an edit swaps in
+        # another node), so a node's type is fixed for the checker's life.
+        found = self._annotation_types.get(node)
+        if found is None:
+            found = self._annotation_types[node] = super()._annotation_or_any(node)
+        return found
+
+    def _class_attributes(self, node: ast.ClassDef) -> dict[str, TypeExpr]:
+        if self.tree is not None:  # a whole-module check of an edited tree
+            return super()._class_attributes(node)
+        statements = self._attribute_statements[node] = attribute_statements(node)
+        return self._attribute_types(statements)
+
+    def _edited_attributes(self, statement: ast.ClassDef, slot: Slot) -> dict[str, TypeExpr]:
+        """:meth:`_class_attributes` of an edited class, from its recorded statements.
+
+        An edit writes into the defining statements, or swaps an ``Assign``
+        for an ``AnnAssign`` in place; either way the set of defining
+        statements and their order do not change.
+        """
+        current = {site.node: site.body[site.index] for site in slot.sites if site.body is not None}
+        statements = self._attribute_statements[statement]
+        return self._attribute_types({name: current.get(defining, defining) for name, defining in statements.items()})
 
     def _check_module(self, tree: ast.Module, context: ModuleContext) -> None:
         if self.tree is not None:  # a whole-module check of an edited tree
@@ -356,7 +394,7 @@ class IncrementalChecker(OptionalTypeChecker):
             return self._signature_from_node(statement, is_method=False) if statement in functions else before
         assert isinstance(before, ClassInfo)
         if any(site.self_attribute for site in slot.sites):
-            return replace(before, attributes=self._class_attributes(statement))
+            return replace(before, attributes=self._edited_attributes(statement, slot))
         # `ClassInfo.methods` keeps the last member of each name.
         members = {member.name: member for member in statement.body if isinstance(member, _FUNCTIONS)}
         edited = {name: member for name, member in members.items() if member in functions}

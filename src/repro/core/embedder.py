@@ -8,6 +8,11 @@ logic directly: it needs nothing but an encoder, batches whole groups of
 files into each forward pass, and is the single embedding path for training
 (:meth:`embed_split`), split evaluation and project-scale annotation
 (:meth:`embed_symbols`).
+
+Graph-family encoders get their node features through the batch's intern
+tables (:meth:`~repro.models.featurize.FeatureExtractor.features_for_graphs`):
+each distinct string of a chunk is featurized once, where the encoder's own
+:meth:`~repro.models.base.SymbolEncoder.encode` would featurize every node.
 """
 
 from __future__ import annotations
@@ -19,10 +24,18 @@ import numpy as np
 from repro.corpus.dataset import AnnotatedSymbol, DatasetSplit
 from repro.graph.codegraph import CodeGraph
 from repro.models.base import SymbolEncoder
+from repro.models.batching import GraphBatch
 
 
 class SymbolEmbedder:
-    """Embeds target symbol nodes of program graphs in file-level batches."""
+    """Embeds target symbol nodes of program graphs in file-level batches.
+
+    Each chunk of ``batch_graphs`` files is one forward pass.  When the
+    encoder consumes a :class:`~repro.models.batching.GraphBatch`, the batch
+    carries features built from the union of the chunk's intern tables; the
+    arrays equal per-node featurization byte for byte, so the embeddings do
+    too.  Other families featurize inside their own forward pass.
+    """
 
     def __init__(self, encoder: SymbolEncoder, batch_graphs: int = 16) -> None:
         self.encoder = encoder
@@ -54,10 +67,17 @@ class SymbolEmbedder:
             target_chunk = [list(targets) for targets in node_indices_per_graph[start : start + batch_graphs]]
             if not any(target_chunk):
                 continue
-            chunks.append(self.encoder.encode(graph_chunk, target_chunk).data)
+            chunks.append(self._encode(graph_chunk, target_chunk))
         if not chunks:
             return np.zeros((0, self.encoder.output_dim))
         return np.concatenate(chunks, axis=0)
+
+    def _encode(self, graphs: list[CodeGraph], targets_per_graph: list[list[int]]) -> np.ndarray:
+        batch = self.encoder.prepare_batch(graphs, targets_per_graph)
+        initializer = getattr(self.encoder, "initializer", None)
+        if isinstance(batch, GraphBatch) and initializer is not None:
+            batch.features = initializer.extractor.features_for_graphs(graphs)
+        return self.encoder(batch).data
 
     def embed_split(self, split: DatasetSplit, batch_graphs: int | None = None) -> tuple[np.ndarray, list[AnnotatedSymbol]]:
         """Embed every supervised symbol of a split (in dataset order)."""

@@ -2,10 +2,13 @@
 
 The builder follows Sec. 5.1 of the paper.  For a single Python file it
 
-1. collects the ground-truth type annotations (parameters, returns,
-   variable annotations) keyed by scope, name and symbol kind;
-2. *erases* every annotation from the AST — the models must never see the
-   thing they are asked to predict — and re-generates the source;
+1. parses the source once and, in one walk over its statement lists,
+   collects the ground-truth type annotations (parameters, returns,
+   variable annotations) keyed by scope, name and symbol kind and *erases*
+   each one from the tree — the models must never see the thing they are
+   asked to predict;
+2. re-generates the erased source with ``ast.unparse`` and parses it once
+   more, since token nodes are aligned with the erased text;
 3. tokenises the erased source into **token** nodes with ``NEXT_TOKEN``
    edges;
 4. walks the erased AST creating **non-terminal** nodes, ``CHILD`` edges,
@@ -69,8 +72,17 @@ class SymbolKey:
     kind: SymbolKind
 
 
-class _AnnotationCollector(ast.NodeVisitor):
-    """Collect annotation strings from the *original* (un-erased) tree."""
+class _AnnotationEraser:
+    """Collect every type annotation of a tree and erase it, in one walk.
+
+    Annotations live only on function signatures and ``AnnAssign``
+    statements, and statements nest only inside other statements' bodies,
+    so the walk visits statement lists alone and never descends into
+    expressions.  Statements are visited in the order
+    :class:`ast.NodeVisitor` would visit them, so the annotation map keeps
+    its key order.  An ``AnnAssign`` is replaced in its statement list by a
+    plain ``Assign`` (``x = None`` when it had no value).
+    """
 
     def __init__(self) -> None:
         self.annotations: dict[SymbolKey, str] = {}
@@ -86,31 +98,50 @@ class _AnnotationCollector(ast.NodeVisitor):
         key = SymbolKey(scope or self.scope_path, name, kind)
         self.annotations[key] = ast.unparse(annotation)
 
-    def _visit_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
+    def walk(self, body: list[ast.stmt]) -> None:
+        for index, statement in enumerate(body):
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self._function(statement)
+            elif isinstance(statement, ast.ClassDef):
+                self._scope.append(statement.name)
+                self.walk(statement.body)
+                self._scope.pop()
+            elif isinstance(statement, ast.AnnAssign):
+                self._ann_assign(statement)
+                value = statement.value if statement.value is not None else ast.Constant(value=None)
+                body[index] = ast.copy_location(ast.Assign(targets=[statement.target], value=value), statement)
+            else:
+                self._nested(statement)
+
+    def _nested(self, statement: ast.stmt) -> None:
+        """Walk the statement lists of a compound statement, in field order."""
+        for _, value in ast.iter_fields(statement):
+            if not isinstance(value, list) or not value:
+                continue
+            if isinstance(value[0], ast.stmt):
+                self.walk(value)
+            elif isinstance(value[0], (ast.excepthandler, ast.match_case)):
+                for item in value:
+                    self.walk(item.body)
+
+    def _function(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
         self._scope.append(node.name)
         args = node.args
-        for arg in list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs):
+        arguments = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+        for arg in arguments:
             self._record(arg.arg, SymbolKind.PARAMETER, arg.annotation)
-        if args.vararg is not None:
-            self._record(args.vararg.arg, SymbolKind.PARAMETER, args.vararg.annotation)
-        if args.kwarg is not None:
-            self._record(args.kwarg.arg, SymbolKind.PARAMETER, args.kwarg.annotation)
+        for arg in (args.vararg, args.kwarg):
+            if arg is not None:
+                self._record(arg.arg, SymbolKind.PARAMETER, arg.annotation)
+                arguments.append(arg)
         self._record(RETURN_SYMBOL_NAME, SymbolKind.FUNCTION_RETURN, node.returns)
-        self.generic_visit(node)
+        self.walk(node.body)
         self._scope.pop()
+        for arg in arguments:
+            arg.annotation = None
+        node.returns = None
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._visit_function(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._visit_function(node)
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self._scope.append(node.name)
-        self.generic_visit(node)
-        self._scope.pop()
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+    def _ann_assign(self, node: ast.AnnAssign) -> None:
         target = node.target
         if isinstance(target, ast.Name):
             self._record(target.id, SymbolKind.VARIABLE, node.annotation)
@@ -122,48 +153,24 @@ class _AnnotationCollector(ast.NodeVisitor):
             # self.attr annotations belong to the enclosing class scope.
             class_scope = ".".join(self._scope[:-1]) if len(self._scope) > 1 else self.scope_path
             self._record(f"self.{target.attr}", SymbolKind.VARIABLE, node.annotation, scope=class_scope)
-        self.generic_visit(node)
 
 
-class _AnnotationEraser(ast.NodeTransformer):
-    """Remove every type annotation from the tree, preserving structure."""
-
-    def _erase_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> ast.AST:
-        self.generic_visit(node)
-        args = node.args
-        for arg in list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs):
-            arg.annotation = None
-        if args.vararg is not None:
-            args.vararg.annotation = None
-        if args.kwarg is not None:
-            args.kwarg.annotation = None
-        node.returns = None
-        return node
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> ast.AST:
-        return self._erase_function(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> ast.AST:
-        return self._erase_function(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> ast.AST:
-        self.generic_visit(node)
-        value = node.value if node.value is not None else ast.Constant(value=None)
-        return ast.copy_location(ast.Assign(targets=[node.target], value=value), node)
+def _collect_and_erase(source: str) -> tuple[dict[SymbolKey, str], str]:
+    """Parse ``source`` once; return its annotation map and its erased text."""
+    tree = ast.parse(source)
+    eraser = _AnnotationEraser()
+    eraser.walk(tree.body)
+    return eraser.annotations, ast.unparse(tree)
 
 
 def collect_annotations(source: str) -> dict[SymbolKey, str]:
     """Return the annotation map ``(scope, name, kind) -> annotation string``."""
-    collector = _AnnotationCollector()
-    collector.visit(ast.parse(source))
-    return collector.annotations
+    return _collect_and_erase(source)[0]
 
 
 def erase_annotations(source: str) -> str:
     """Return ``source`` re-generated with every type annotation removed."""
-    tree = _AnnotationEraser().visit(ast.parse(source))
-    ast.fix_missing_locations(tree)
-    return ast.unparse(tree)
+    return _collect_and_erase(source)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +256,7 @@ class GraphBuilder:
 
     def _build(self, source: str, filename: str) -> CodeGraph:
         try:
-            annotations = collect_annotations(source)
-            erased = erase_annotations(source)
+            annotations, erased = _collect_and_erase(source)
             tree = ast.parse(erased)
         except SyntaxError as error:
             raise GraphBuildError(f"cannot parse {filename}: {error}") from error

@@ -11,9 +11,11 @@ ids from strings on *every batch of every epoch*; this module computes them
 * :class:`TextFeatures` — the numeric form of a text list for one
   initialiser kind, with cheap CSR-style concatenation (building a batch
   disjoint union is pure array stacking), row selection and padding;
-* :class:`FeatureExtractor` — string → ids conversion with an optional
-  per-text memo for workloads that keep re-encoding the same lexemes
-  (path sampling, repeated inference);
+* :class:`FeatureExtractor` — string → ids conversion, for one text list,
+  one graph or a batch of graphs (the last two through the graphs'
+  intern tables, so each distinct lexeme is converted once), with an
+  optional per-text memo for workloads that keep re-encoding the same
+  lexemes (path sampling);
 * :func:`vocabulary_fingerprint` — content hash tying persisted feature
   arrays to the vocabulary that produced them, so stale features are
   recomputed instead of silently mis-indexing a new embedding table.
@@ -117,13 +119,11 @@ class TextFeatures:
         if self.kind == SUBTOKEN:
             starts = self.row_splits[indices]
             lengths = self.row_splits[indices + 1] - starts
-            ids = (
-                np.concatenate([self.ids[s : s + n] for s, n in zip(starts, lengths)])
-                if indices.size
-                else np.zeros(0, dtype=np.int64)
-            )
             row_splits = np.zeros(indices.size + 1, dtype=np.int64)
             np.cumsum(lengths, out=row_splits[1:])
+            # Position p of output row r reads ids[starts[r] + p - row_splits[r]].
+            shift = np.repeat(starts - row_splits[:-1], lengths)
+            ids = self.ids[np.arange(row_splits[-1], dtype=np.int64) + shift]
             return TextFeatures(kind=self.kind, num_texts=indices.size, ids=ids, row_splits=row_splits)
         return TextFeatures(kind=self.kind, num_texts=indices.size, ids=self.ids[indices])
 
@@ -149,11 +149,14 @@ class TextFeatures:
 class FeatureExtractor:
     """Converts text lists into :class:`TextFeatures` for one initialiser kind.
 
+    :meth:`features_for_texts` converts every text it is given;
+    :meth:`features_for_graph` (compiled training plans) and
+    :meth:`features_for_graphs` (inference batches) convert each distinct
+    string of the graphs' intern tables once and gather per-node rows.
     ``memoize=True`` keeps a per-text cache of id arrays — worthwhile when the
-    same lexemes are encoded over and over (syntax-path sampling, repeated
-    suggestion requests).  The eager training path deliberately runs without
-    the memo so it keeps the historical per-batch cost that the compiled plan
-    is benchmarked against.
+    same lexemes are encoded over and over (syntax-path sampling).  The eager
+    training path deliberately runs without the memo so it keeps the
+    historical per-batch cost that the compiled plan is benchmarked against.
     """
 
     def __init__(
@@ -241,9 +244,30 @@ class FeatureExtractor:
         thousand nodes is tokenized a single time.  The produced arrays are
         byte-identical to featurizing ``graph.node_texts()`` directly.
         """
-        flat = graph.flat
-        table = self.features_for_texts(flat.strings)
-        return table.take(flat.node_text)
+        return self.features_for_graphs([graph])
+
+    def features_for_graphs(self, graphs: Sequence) -> TextFeatures:
+        """Featurize the node texts of a disjoint union of graphs, in order.
+
+        The union of the graphs' intern tables is featurized once — a
+        lexeme shared by every file of a batch is tokenized a single time —
+        and each node's row is gathered by its remapped text id.  The
+        arrays are byte-identical to featurizing the concatenated node
+        texts directly.
+        """
+        union: dict[str, int] = {}
+        node_rows: list[np.ndarray] = []
+        for graph in graphs:
+            flat = graph.flat
+            remap = np.fromiter(
+                (union.setdefault(text, len(union)) for text in flat.strings),
+                dtype=np.int64,
+                count=len(flat.strings),
+            )
+            node_rows.append(remap[flat.node_text])
+        table = self.features_for_texts(list(union))
+        rows = np.concatenate(node_rows) if node_rows else np.zeros(0, dtype=np.int64)
+        return table.take(rows)
 
 
 def vocabulary_fingerprint(kind: str, tokens: Iterable[str]) -> str:

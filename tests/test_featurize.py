@@ -94,6 +94,56 @@ class TestTextFeaturesOps:
         assert (taken.ids == direct.ids).all()
         assert (taken.segments == direct.segments).all()
 
+    @staticmethod
+    def _take_by_rows(features, indices):
+        """:meth:`TextFeatures.take` one row slice at a time (the reference)."""
+        starts = features.row_splits[indices]
+        lengths = features.row_splits[indices + 1] - starts
+        ids = (
+            np.concatenate([features.ids[s : s + n] for s, n in zip(starts, lengths)])
+            if indices.size
+            else np.zeros(0, dtype=np.int64)
+        )
+        row_splits = np.zeros(indices.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=row_splits[1:])
+        return ids, row_splits
+
+    @pytest.mark.parametrize(
+        "indices",
+        [[], [1], [1, 1, 1], [3, 0, 3, 2], [0, 2], [2, 2], [4, 1, 0, 3, 2, 4]],
+    )
+    def test_take_is_byte_identical_to_row_slices(self, indices):
+        # Rows 1 and 2 are empty; row 4 is the last row.
+        features = TextFeatures(
+            kind=SUBTOKEN,
+            num_texts=5,
+            ids=np.array([7, 8, 9, 4, 5, 6], dtype=np.int64),
+            row_splits=np.array([0, 2, 2, 2, 5, 6], dtype=np.int64),
+        )
+        indices = np.asarray(indices, dtype=np.int64)
+        taken = features.take(indices)
+        ids, row_splits = self._take_by_rows(features, indices)
+        assert taken.num_texts == indices.size
+        assert taken.ids.dtype == ids.dtype and taken.ids.tobytes() == ids.tobytes()
+        assert taken.row_splits.dtype == row_splits.dtype and taken.row_splits.tobytes() == row_splits.tobytes()
+
+    def test_features_for_graphs_equals_per_node_featurization(self, subtokens):
+        from repro.graph import build_graph
+
+        graphs = [
+            build_graph("def get_value(items):\n    num_count = len(items)\n    return num_count\n"),
+            build_graph("total_count = 0\n"),
+            build_graph("def get_value(x):\n    return x + total_count\n"),
+        ]
+        extractor = FeatureExtractor(SUBTOKEN, subtoken_vocabulary=subtokens)
+        union = extractor.features_for_graphs(graphs)
+        direct = extractor.features_for_texts([text for graph in graphs for text in graph.node_texts()])
+        assert union.num_texts == direct.num_texts
+        assert union.ids.tobytes() == direct.ids.tobytes()
+        assert union.row_splits.tobytes() == direct.row_splits.tobytes()
+        empty = extractor.features_for_graphs([])
+        assert empty.num_texts == 0 and empty.row_splits.tolist() == [0]
+
     def test_repeated_tiles_rows(self, subtokens):
         extractor = FeatureExtractor(SUBTOKEN, subtoken_vocabulary=subtokens)
         padding = extractor.features_for_texts([""])

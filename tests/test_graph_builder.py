@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import graph_oracle
+from repro.corpus import CorpusSynthesizer, SynthesisConfig
 from repro.graph import (
     CodeGraph,
     EdgeKind,
@@ -77,6 +79,52 @@ class TestAnnotationErasure:
         texts = {node.text for node in graph.nodes}
         assert "SomeVeryUniqueTypeName" not in texts
         assert "AnotherUniqueType" not in texts
+
+
+_FRONT_END_CASES = [
+    "x: int\ny = x\n",
+    "def f(*args: int, a: str, b: 'B' = 1, **kw: float) -> None:\n    pass\n",
+    "def f(a, /, b: int, *, c: str):\n    async def g(d: int) -> str:\n        e: int\n        return e\n",
+    "class A:\n    x: int = 1\n    class B:\n        def __init__(self, y: int) -> None:\n            self.y: int = y\n",
+    "def f():\n    self.z: str = ''\n",
+    "self.w: int = 3\n",
+    "try:\n    a: int = 1\nexcept ValueError as e:\n    b: str = ''\nelse:\n    c: int\nfinally:\n    d: bytes\n",
+    "for i in range(3):\n    j: int = i\nelse:\n    k: int = 0\nwhile True:\n    m: int = 1\n",
+    "with open(p) as h:\n    if h:\n        n: str = ''\n    elif h:\n        o: int\n",
+    "match v:\n    case [x]:\n        q: int = x\n    case _:\n        r: str\n",
+    "@decorate(lambda z: z)\nclass C(Base, metaclass=M):\n    def m(self) -> 'C':\n        t: List[int] = [u for u in range(2)]\n        return self\n",
+    "a.b: int = 1\nc[0]: str = ''\n(d): int = 2\n",
+]
+
+
+class TestFrontEndParity:
+    """The one-walk front-end against the two-visitor oracle it replaced."""
+
+    @staticmethod
+    def _assert_same(source, filename):
+        annotations = collect_annotations(source)
+        oracle_annotations = graph_oracle.collect_annotations(source)
+        assert annotations == oracle_annotations
+        assert list(annotations) == list(oracle_annotations)
+        assert erase_annotations(source) == graph_oracle.erase_annotations(source)
+        graph = build_graph(source, filename)
+        oracle = graph_oracle.build(source, filename)
+        assert graph_oracle.flat_arrays(graph) == graph_oracle.flat_arrays(oracle)
+        assert graph.symbols == oracle.symbols
+
+    @pytest.mark.parametrize("source", _FRONT_END_CASES)
+    def test_hand_written_sources(self, source):
+        self._assert_same(source, "case.py")
+
+    def test_sample_source(self, sample_source):
+        self._assert_same(sample_source, "sample.py")
+
+    def test_benchmark_pool(self):
+        """Byte-identical annotation maps, erased text and FlatGraph arrays
+        over the 400-file pool the annotate benchmark draws its projects from."""
+        config = SynthesisConfig(num_files=400, seed=1000, duplicate_fraction=0.0)
+        for entry in CorpusSynthesizer(config).generate():
+            self._assert_same(entry.source, entry.filename)
 
 
 class TestGraphStructure:

@@ -140,6 +140,34 @@ class TestSegmentOps:
             assert np.allclose(ours[segment], expected)
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=60),
+        segments=st.integers(min_value=1, max_value=8),
+        width=st.sampled_from([None, 1, 3]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(min_value=0, max_value=1000),
+    )
+    def test_property_grouped_max_is_bit_identical_to_reduceat(self, n, segments, width, dtype, seed):
+        """The in-degree-grouped max equals sort + ``np.maximum.reduceat`` bit for bit,
+        and the groups cached on the index give the same answer on reuse."""
+        from repro.nn.segments import SegmentIndex
+
+        rng = np.random.default_rng(seed)
+        shape = (n,) if width is None else (n, width)
+        values = rng.normal(size=shape).astype(dtype)
+        # Few segment ids, so in-degrees repeat and groups hold several segments.
+        index = SegmentIndex.build(rng.integers(0, segments, size=n), segments)
+        expected = np.full((segments,) + shape[1:], -3.0, dtype=dtype)
+        if n:
+            expected[index.unique] = np.maximum.reduceat(values[index.perm], index.starts, axis=0)
+        for _ in range(2):
+            maxima, empty = index.max(values, empty_value=-3.0)
+            assert maxima.dtype == dtype
+            assert maxima.tobytes() == expected.tobytes()
+            assert empty.tolist() == (index.dense_counts() == 0).tolist()
+
+
 class TestDistancesAndDropout:
     def test_pairwise_l1_matches_scipy_style_reference(self):
         a = np.random.randn(4, 3)
