@@ -459,11 +459,19 @@ class OptionalTypeChecker:
 
     def _check_class(self, node: ast.ClassDef, scope: Scope, context: ModuleContext) -> None:
         for member in node.body:
-            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._check_function(member, scope, context, class_name=node.name)
-            elif isinstance(member, ast.AnnAssign):
-                typer = ExpressionTyper(context, self.lattice, self._errors.append, strict=self.strict)
-                self._check_ann_assign(member, scope, typer)
+            self._check_member(member, node.name, scope, context)
+
+    def _check_member(self, member: ast.stmt, class_name: str, scope: Scope, context: ModuleContext) -> None:
+        """Check one statement of a class body: a method or an annotated attribute.
+
+        A method binds nothing in ``scope``; an annotated attribute binds
+        its name there, which later members see.
+        """
+        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            self._check_function(member, scope, context, class_name=class_name)
+        elif isinstance(member, ast.AnnAssign):
+            typer = ExpressionTyper(context, self.lattice, self._errors.append, strict=self.strict)
+            self._check_ann_assign(member, scope, typer)
 
     def _check_ann_assign(self, statement: ast.AnnAssign, scope: Scope, typer: ExpressionTyper) -> None:
         annotation = self._parse_annotation(statement.annotation, statement.lineno, scope.name)

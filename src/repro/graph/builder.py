@@ -9,18 +9,25 @@ The builder follows Sec. 5.1 of the paper.  For a single Python file it
    asked to predict;
 2. re-generates the erased source with ``ast.unparse`` and parses it once
    more, since token nodes are aligned with the erased text;
-3. tokenises the erased source into **token** nodes with ``NEXT_TOKEN``
-   edges;
-4. walks the erased AST creating **non-terminal** nodes, ``CHILD`` edges,
-   ``ASSIGNED_FROM`` and ``RETURNS_TO`` edges;
-5. builds the symbol table: one **symbol** node per variable, parameter and
-   function return, connected to every binding token and syntax node with
-   ``OCCURRENCE_OF`` edges;
+3. tokenises the erased source into **token** nodes, added as whole
+   columns, with ``NEXT_TOKEN`` edges as one index range;
+4. walks the erased AST once creating **non-terminal** nodes, ``CHILD``
+   edges, ``ASSIGNED_FROM`` edges (from the assignment's children as the
+   walk visited them) and ``RETURNS_TO`` edges;
+5. builds the symbol table during the same walk: one **symbol** node per
+   variable, parameter and function return, connected to every binding
+   token and syntax node with ``OCCURRENCE_OF`` edges;
 6. runs the dataflow analysis producing ``NEXT_LEXICAL_USE`` and
    ``NEXT_MAY_USE`` edges between occurrence tokens;
 7. adds **vocabulary** nodes and ``SUBTOKEN_OF`` edges for identifier
    subtokens;
 8. attaches the collected annotations to the symbol records.
+
+Nodes and edges are appended to the arena's plain int lists — one per node
+column and a (sources, targets) pair per edge kind — not one method call
+per element, and :meth:`FlatGraphBuilder.finish` turns each list into an
+array once.  The graphs are byte-identical to those of the per-element walk
+kept in ``tests/graph_oracle.py``.
 
 A bare annotated declaration (``x: int`` with no value) is rewritten to
 ``x = None`` during erasure so the variable still occurs in the erased
@@ -38,7 +45,7 @@ from typing import Iterable, Optional
 from repro.graph.codegraph import CodeGraph
 from repro.graph.dataflow import NextMayUseAnalysis, UseEvent, compute_next_lexical_use
 from repro.graph.edges import EdgeKind
-from repro.graph.flatgraph import FlatGraphBuilder, is_identifier_text
+from repro.graph.flatgraph import NODE_KIND_CODES, FlatGraphBuilder, is_identifier_text
 from repro.graph.nodes import NodeKind, SymbolInfo, SymbolKind
 from repro.graph.subtokens import split_identifier
 
@@ -199,28 +206,81 @@ class _Scope:
         return None
 
 
+# ---------------------------------------------------------------------------
+# Fast child iteration
+# ---------------------------------------------------------------------------
+
+#: Fields that only ever hold strings, numbers or ``None`` — never a node.
+_SCALAR_FIELDS = frozenset({
+    "id", "name", "attr", "arg", "asname", "module", "level", "is_async", "simple",
+    "conversion", "kind", "type_comment", "tag", "rest", "kwd_attrs",
+})
+
+_NODE_FIELDS: dict[type, tuple[str, ...]] = {}
+
+
+def _node_fields(cls: type) -> tuple[str, ...]:
+    """The fields of an AST class that can hold child nodes, in field order."""
+    fields = _NODE_FIELDS.get(cls)
+    if fields is None:
+        fields = tuple(
+            name for name in cls._fields
+            if name not in _SCALAR_FIELDS and not (cls is ast.Constant and name == "value")
+        )
+        _NODE_FIELDS[cls] = fields
+    return fields
+
+
+def _children(node: ast.AST) -> list[ast.AST]:
+    """``list(ast.iter_child_nodes(node))``, without the generator machinery."""
+    children: list[ast.AST] = []
+    for name in _node_fields(type(node)):
+        value = getattr(node, name, None)
+        if isinstance(value, ast.AST):
+            children.append(value)
+        elif isinstance(value, list):
+            children.extend(item for item in value if isinstance(item, ast.AST))
+    return children
+
+
+_SCOPE_ROOTS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+
+
 def _assigned_names(node: ast.AST) -> list[str]:
     """Names bound by assignment-like statements directly in a scope body.
 
     The traversal stops at nested function, class and lambda definitions so
     that names local to an inner scope are not hoisted into the outer one.
-    Names come back in first-occurrence order, so the symbols a graph
-    declares never depend on the string-hash seed.
+    Names come back in first-occurrence (pre-order) order, so the symbols a
+    graph declares never depend on the string-hash seed.
     """
     names: dict[str, None] = {}
-    _collect_assigned_names(node, names, is_root=True)
+    stack = _children(node)
+    stack.reverse()
+    while stack:
+        child = stack.pop()
+        if isinstance(child, _SCOPE_ROOTS):
+            continue
+        if type(child) is ast.Name and type(child.ctx) is ast.Store:
+            names[child.id] = None
+        grandchildren = _children(child)
+        grandchildren.reverse()
+        stack.extend(grandchildren)
     return list(names)
 
 
-def _collect_assigned_names(node: ast.AST, names: dict[str, None], is_root: bool = False) -> None:
-    if not is_root and isinstance(
-        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
-    ):
-        return
-    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-        names[node.id] = None
-    for child in ast.iter_child_nodes(node):
-        _collect_assigned_names(child, names)
+def _names_within(node: ast.AST) -> list[ast.Name]:
+    """Every ``Name`` inside ``node`` (itself included), in ``ast.walk`` order.
+
+    Like ``ast.walk`` this does not stop at nested definitions.
+    """
+    names: list[ast.Name] = []
+    queue = [node]
+    for current in queue:  # the list grows while it is read: breadth first
+        if type(current) is ast.Name:
+            names.append(current)
+        queue.extend(_children(current))
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -290,52 +350,68 @@ class _FunctionContext:
     return_symbol: SymbolInfo
 
 
+_TOKEN = NODE_KIND_CODES[NodeKind.TOKEN]
+_NON_TERMINAL = NODE_KIND_CODES[NodeKind.NON_TERMINAL]
+_SYMBOL = NODE_KIND_CODES[NodeKind.SYMBOL]
+
+# What the walk does at a node besides creating it and visiting its children.
+_FUNCTION, _CLASS, _NAME, _ATTRIBUTE, _ARG, _CONSTANT, _RETURN, _ASSIGN, _PLAIN = range(9)
+#: Node classes with no fields and no position: expression contexts and operators.
+_LEAVES = frozenset(
+    cls for base in (ast.expr_context, ast.boolop, ast.operator, ast.unaryop, ast.cmpop)
+    for cls in base.__subclasses__()
+)
+_ROLES: dict[type, int] = {
+    ast.FunctionDef: _FUNCTION, ast.AsyncFunctionDef: _FUNCTION, ast.ClassDef: _CLASS,
+    ast.Name: _NAME, ast.Attribute: _ATTRIBUTE, ast.arg: _ARG, ast.Constant: _CONSTANT,
+    ast.Return: _RETURN, ast.Yield: _RETURN, ast.YieldFrom: _RETURN,
+    ast.Assign: _ASSIGN, ast.AugAssign: _ASSIGN,
+}
+
+
 class _BuildState:
     """Mutable state of a single graph construction.
 
-    ``graph`` is the :class:`FlatGraphBuilder` arena the walk appends nodes,
-    edges and symbols into — no intermediate object graph is built.
+    ``graph`` is the :class:`FlatGraphBuilder` arena.  Tokens go in as whole
+    columns, with ``NEXT_TOKEN`` as one index range.  The AST walk appends
+    each node to the arena's node columns and each edge to a per-kind pair
+    of int lists; no intermediate object graph is built.  The walk's edge
+    kinds are handed to the arena in the order each was first used, which
+    is the order the frozen graph keeps them in.
     """
 
     def __init__(self, graph: FlatGraphBuilder, annotations: dict[SymbolKey, str]) -> None:
         self.graph = graph
         self.annotations = annotations
         self.token_index_at: dict[tuple[int, int], int] = {}
-        self.token_order: list[int] = []
-        self.vocabulary_nodes: dict[str, int] = {}
         self.scopes: list[tuple[_Scope, list[ast.stmt]]] = []
         self.function_stack: list[_FunctionContext] = []
         self.scope_stack: list[_Scope] = []
+        walk_kinds = (EdgeKind.CHILD, EdgeKind.OCCURRENCE_OF, EdgeKind.RETURNS_TO, EdgeKind.ASSIGNED_FROM)
+        self._walk_edges: dict[EdgeKind, tuple[list[int], list[int]]] = {kind: ([], []) for kind in walk_kinds}
+        self._walk_edge_order: list[EdgeKind] = []
 
     # -- token pass ---------------------------------------------------------------
 
     def add_tokens(self, source: str) -> None:
-        graph = self.graph
-        previous: Optional[int] = None
         try:
             tokens = list(tokenize_module.generate_tokens(io.StringIO(source).readline))
         except tokenize_module.TokenError as error:  # pragma: no cover - defensive
             raise GraphBuildError(f"tokenisation failed: {error}") from error
-        for token in tokens:
-            if token.type not in _KEPT_TOKEN_TYPES or not token.string:
-                continue
-            index = graph.add_node(
-                NodeKind.TOKEN, token.string, lineno=token.start[0], col=token.start[1]
-            )
-            self.token_index_at[(token.start[0], token.start[1])] = index
-            self.token_order.append(index)
-            if previous is not None:
-                graph.add_edge(EdgeKind.NEXT_TOKEN, previous, index)
-            previous = index
-
-    def token_at(self, lineno: int, col: int) -> Optional[int]:
-        return self.token_index_at.get((lineno, col))
+        kept = [(string, start) for token_type, string, start, _, _ in tokens
+                if token_type in _KEPT_TOKEN_TYPES and string]
+        kinds, texts, lines, cols = self.graph.node_columns()
+        kinds.extend([_TOKEN] * len(kept))
+        texts.extend(self.graph.strings.intern_all([string for string, _ in kept]))
+        lines.extend([start[0] for _, start in kept])
+        cols.extend([start[1] for _, start in kept])
+        self.token_index_at = {start: index for index, (_, start) in enumerate(kept)}
+        if len(kept) > 1:
+            sources, targets = self.graph.edge_columns(EdgeKind.NEXT_TOKEN)
+            sources.extend(range(len(kept) - 1))
+            targets.extend(range(1, len(kept)))
 
     # -- scope / symbol helpers -----------------------------------------------------
-
-    @property
-    def current_scope(self) -> _Scope:
-        return self.scope_stack[-1]
 
     def _declare_symbol(
         self, name: str, kind: SymbolKind, scope: _Scope, lineno: int = -1
@@ -346,9 +422,32 @@ class _BuildState:
         scope.symbols[name] = info
         return info
 
+    def _first_use(self, kind: EdgeKind) -> None:
+        """Note the first edge of a walk kind other than ``CHILD``.
+
+        ``CHILD`` edges are too many to check one by one; whether the first
+        of them came before this one shows in its list being non-empty.
+        """
+        order = self._walk_edge_order
+        if self._walk_edges[EdgeKind.CHILD][0] and EdgeKind.CHILD not in order:
+            order.append(EdgeKind.CHILD)
+        order.append(kind)
+
     def _record_occurrence(self, symbol: SymbolInfo, node_index: int) -> None:
-        self.graph.add_edge(EdgeKind.OCCURRENCE_OF, node_index, symbol.node_index)
+        sources, targets = self._walk_edges[EdgeKind.OCCURRENCE_OF]
+        if not sources:
+            self._first_use(EdgeKind.OCCURRENCE_OF)
+        sources.append(node_index)
+        targets.append(symbol.node_index)
         symbol.occurrence_indices.append(node_index)
+
+    def _add_edge(self, kind: EdgeKind, source: int, target: int) -> None:
+        """Append one ``RETURNS_TO`` or ``ASSIGNED_FROM`` edge."""
+        sources, targets = self._walk_edges[kind]
+        if not sources:
+            self._first_use(kind)
+        sources.append(source)
+        targets.append(target)
 
     # -- AST walk ---------------------------------------------------------------------
 
@@ -359,45 +458,126 @@ class _BuildState:
         for name in _assigned_names(tree):
             self._declare_symbol(name, SymbolKind.VARIABLE, module_scope)
         module_node = self.graph.add_node(NodeKind.NON_TERMINAL, "Module")
+        child_sources, child_targets = self._walk_edges[EdgeKind.CHILD]
+        visit = self._visitor()
         for statement in tree.body:
-            child_index = self.visit(statement)
-            self.graph.add_edge(EdgeKind.CHILD, module_node, child_index)
+            child_index = visit(statement, visit)
+            child_sources.append(module_node)
+            child_targets.append(child_index)
         self.scope_stack.pop()
+        if child_sources and EdgeKind.CHILD not in self._walk_edge_order:
+            self._walk_edge_order.append(EdgeKind.CHILD)
+        for kind in self._walk_edge_order:
+            sources, targets = self.graph.edge_columns(kind)
+            sources.extend(self._walk_edges[kind][0])
+            targets.extend(self._walk_edges[kind][1])
 
-    def visit(self, node: ast.AST) -> int:
-        """Create the non-terminal node for ``node`` and recurse into children."""
-        label = type(node).__name__
-        lineno = getattr(node, "lineno", -1)
-        col = getattr(node, "col_offset", -1)
-        node_index = self.graph.add_node(NodeKind.NON_TERMINAL, label, lineno=lineno, col=col)
+    def _visitor(self):
+        """The recursive per-node visit, with the walk's state bound to locals.
 
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self._visit_function(node, node_index)
-        elif isinstance(node, ast.ClassDef):
-            self._visit_class(node, node_index)
-        else:
-            self._visit_generic(node, node_index)
+        ``visit(node, visit)`` creates the non-terminal node of ``node``,
+        adds its symbol occurrences and token link, visits its children (a
+        ``CHILD`` edge after each), then adds ``RETURNS_TO``/``ASSIGNED_FROM``
+        edges, and returns the node's index.  It is handed itself rather than
+        closing over its own name: that closure would be a reference cycle,
+        keeping the whole build state alive until the cyclic collector ran.
+        """
+        kinds, texts, lines, cols = self.graph.node_columns()
+        intern = self.graph.strings.intern
+        token_at = self.token_index_at.get
+        child_sources, child_targets = self._walk_edges[EdgeKind.CHILD]
+        record = self._record_occurrence
+        scope_stack = self.scope_stack
+        function_stack = self.function_stack
+        label_ids: dict[type, int] = {}
+        roles = _ROLES
+        node_fields = _NODE_FIELDS
+        leaves = _LEAVES
+        AST = ast.AST
 
-        self._add_node_specific_edges(node, node_index)
-        return node_index
+        def visit(node: ast.AST, visit) -> int:
+            cls = type(node)
+            index = len(kinds)
+            label = label_ids.get(cls)
+            if label is None:
+                label = label_ids[cls] = intern(cls.__name__)
+            kinds.append(_NON_TERMINAL)
+            texts.append(label)
+            lines.append(getattr(node, "lineno", -1))
+            cols.append(getattr(node, "col_offset", -1))
+            role = roles.get(cls, _PLAIN)
+            if role == _FUNCTION:
+                self._enter_function(node, index)
+            elif role == _CLASS:
+                self._enter_class(node)
+            elif role == _NAME or role == _ARG:
+                symbol = scope_stack[-1].resolve(node.id if role == _NAME else node.arg)
+                token = token_at((node.lineno, node.col_offset))
+                if symbol is not None:
+                    record(symbol, index)
+                    if token is not None:
+                        record(symbol, token)
+                if token is not None:
+                    child_sources.append(index)
+                    child_targets.append(token)
+            elif role == _CONSTANT:
+                token = token_at((node.lineno, node.col_offset))
+                if token is not None:
+                    child_sources.append(index)
+                    child_targets.append(token)
+            elif role == _ATTRIBUTE:
+                self._handle_attribute(node, index)
 
-    def _visit_children(self, node: ast.AST, node_index: int) -> None:
-        for child in ast.iter_child_nodes(node):
-            child_index = self.visit(child)
-            self.graph.add_edge(EdgeKind.CHILD, node_index, child_index)
+            fields = node_fields.get(cls)
+            if fields is None:
+                fields = _node_fields(cls)
+            children = [] if role == _ASSIGN else None
+            for name in fields:
+                value = getattr(node, name, None)
+                if isinstance(value, AST):
+                    value_cls = type(value)
+                    if value_cls in leaves:  # a context or an operator: added in place
+                        child_index = len(kinds)
+                        label = label_ids.get(value_cls)
+                        if label is None:
+                            label = label_ids[value_cls] = intern(value_cls.__name__)
+                        kinds.append(_NON_TERMINAL)
+                        texts.append(label)
+                        lines.append(-1)
+                        cols.append(-1)
+                    else:
+                        child_index = visit(value, visit)
+                    child_sources.append(index)
+                    child_targets.append(child_index)
+                    if children is not None:
+                        children.append((value, child_index))
+                elif isinstance(value, list):
+                    for item in value:
+                        if isinstance(item, AST):
+                            child_index = visit(item, visit)
+                            child_sources.append(index)
+                            child_targets.append(child_index)
+                            if children is not None:
+                                children.append((item, child_index))
 
-    def _visit_generic(self, node: ast.AST, node_index: int) -> None:
-        if isinstance(node, ast.Name):
-            self._handle_name(node, node_index)
-        elif isinstance(node, ast.Attribute):
-            self._handle_attribute(node, node_index)
-        elif isinstance(node, ast.arg):
-            self._handle_parameter(node, node_index)
-        self._link_token(node, node_index)
-        self._visit_children(node, node_index)
+            if role == _FUNCTION:
+                scope_stack.pop()
+                function_stack.pop()
+            elif role == _CLASS:
+                scope_stack.pop()
+            elif role == _RETURN:
+                if function_stack:
+                    context = function_stack[-1]
+                    self._add_edge(EdgeKind.RETURNS_TO, index, context.node_index)
+                    record(context.return_symbol, index)
+            elif role == _ASSIGN:
+                self._add_assigned_from(node, children)
+            return index
 
-    def _visit_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef, node_index: int) -> None:
-        enclosing = self.current_scope
+        return visit
+
+    def _enter_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef, node_index: int) -> None:
+        enclosing = self.scope_stack[-1]
         scope = _Scope(path=f"{enclosing.path}.{node.name}", parent=enclosing)
         # Parameters.
         args = node.args
@@ -417,37 +597,21 @@ class _BuildState:
             RETURN_SYMBOL_NAME, SymbolKind.FUNCTION_RETURN, scope, lineno=node.lineno
         )
         self._record_occurrence(return_symbol, node_index)
-        name_token = self.token_at(node.lineno, node.col_offset + len("def "))
+        name_token = self.token_index_at.get((node.lineno, node.col_offset + len("def ")))
         if name_token is not None:
             self._record_occurrence(return_symbol, name_token)
-
-        context = _FunctionContext(scope=scope, node_index=node_index, return_symbol=return_symbol)
-        self.function_stack.append(context)
+        self.function_stack.append(_FunctionContext(scope=scope, node_index=node_index, return_symbol=return_symbol))
         self.scope_stack.append(scope)
         self.scopes.append((scope, list(node.body)))
-        self._visit_children(node, node_index)
-        self.scope_stack.pop()
-        self.function_stack.pop()
 
-    def _visit_class(self, node: ast.ClassDef, node_index: int) -> None:
-        enclosing = self.current_scope
+    def _enter_class(self, node: ast.ClassDef) -> None:
+        enclosing = self.scope_stack[-1]
         scope = _Scope(path=f"{enclosing.path}.{node.name}", parent=enclosing, is_class=True)
         for name in _assigned_names(node):
             self._declare_symbol(name, SymbolKind.VARIABLE, scope, lineno=node.lineno)
         self.scope_stack.append(scope)
-        self._visit_children(node, node_index)
-        self.scope_stack.pop()
 
     # -- per-node-type edges -----------------------------------------------------------
-
-    def _handle_name(self, node: ast.Name, node_index: int) -> None:
-        symbol = self.current_scope.resolve(node.id)
-        if symbol is None:
-            return
-        self._record_occurrence(symbol, node_index)
-        token = self.token_at(node.lineno, node.col_offset)
-        if token is not None:
-            self._record_occurrence(symbol, token)
 
     def _handle_attribute(self, node: ast.Attribute, node_index: int) -> None:
         if not (isinstance(node.value, ast.Name) and node.value.id == "self"):
@@ -462,68 +626,38 @@ class _BuildState:
         if symbol is not None:
             self._record_occurrence(symbol, node_index)
 
-    def _handle_parameter(self, node: ast.arg, node_index: int) -> None:
-        symbol = self.current_scope.resolve(node.arg)
-        if symbol is None:
-            return
-        self._record_occurrence(symbol, node_index)
-        token = self.token_at(node.lineno, node.col_offset)
-        if token is not None:
-            self._record_occurrence(symbol, token)
-
     def _enclosing_class_scope(self) -> Optional[_Scope]:
         for scope in reversed(self.scope_stack):
             if scope.is_class:
                 return scope
         return None
 
-    def _link_token(self, node: ast.AST, node_index: int) -> None:
-        """Connect a leaf-ish AST node to the token at its source position."""
-        if isinstance(node, (ast.Name, ast.Constant, ast.arg)):
-            lineno = getattr(node, "lineno", None)
-            col = getattr(node, "col_offset", None)
-            if lineno is None or col is None:
-                return
-            token = self.token_at(lineno, col)
-            if token is not None:
-                self.graph.add_edge(EdgeKind.CHILD, node_index, token)
+    def _add_assigned_from(
+        self, node: ast.Assign | ast.AugAssign, children: list[tuple[ast.AST, int]]
+    ) -> None:
+        """ASSIGNED_FROM: the value flows into each target.
 
-    def _add_node_specific_edges(self, node: ast.AST, node_index: int) -> None:
-        graph = self.graph
-        if isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)) and self.function_stack:
-            context = self.function_stack[-1]
-            graph.add_edge(EdgeKind.RETURNS_TO, node_index, context.node_index)
-            self._record_occurrence(context.return_symbol, node_index)
-        elif isinstance(node, (ast.Assign, ast.AugAssign)):
-            # ASSIGNED_FROM: value flows into each target.  The child
-            # non-terminal nodes were created during the recursive visit; we
-            # find them by scanning the CHILD edges added from this node.
-            self._add_assigned_from(node, node_index)
-
-    def _add_assigned_from(self, node: ast.Assign | ast.AugAssign, node_index: int) -> None:
-        graph = self.graph
-        children = [target for source, target in graph.edge_pairs(EdgeKind.CHILD) if source == node_index]
-        if not children:
-            return
-        child_nodes = [(index, graph.node_kind_of(index), graph.node_text_of(index)) for index in children]
+        ``children`` are the node's children as the walk visited them.  The
+        value is the last child labelled like ``node.value``; every other
+        child labelled like a target receives an edge from it.
+        """
         value_label = type(node.value).__name__
-        value_candidates = [
-            index for index, kind, text in child_nodes if kind == NodeKind.NON_TERMINAL and text == value_label
-        ]
-        if not value_candidates:
+        value_index = None
+        for child, index in children:
+            if type(child).__name__ == value_label:
+                value_index = index
+        if value_index is None:
             return
-        value_index = value_candidates[-1]
         targets = node.targets if isinstance(node, ast.Assign) else [node.target]
         target_labels = {type(target).__name__ for target in targets}
-        for index, kind, text in child_nodes:
-            if index == value_index or kind != NodeKind.NON_TERMINAL:
-                continue
-            if text in target_labels:
-                graph.add_edge(EdgeKind.ASSIGNED_FROM, value_index, index)
+        for child, index in children:
+            if index != value_index and type(child).__name__ in target_labels:
+                self._add_edge(EdgeKind.ASSIGNED_FROM, value_index, index)
 
     # -- dataflow pass ---------------------------------------------------------------------
 
     def run_dataflow(self) -> None:
+        kinds, _, lines, cols = self.graph.node_columns()
         next_lexical: set[tuple[int, int]] = set()
         next_may_use: set[tuple[int, int]] = set()
         for scope, body in self.scopes:
@@ -534,26 +668,25 @@ class _BuildState:
             for symbol in scope.symbols.values():
                 if symbol.kind != SymbolKind.PARAMETER:
                     continue
-                token_occurrences = [
-                    index
-                    for index in symbol.occurrence_indices
-                    if self.graph.node_kind_of(index) == NodeKind.TOKEN
-                ]
-                if not token_occurrences:
+                first = next((index for index in symbol.occurrence_indices if kinds[index] == _TOKEN), None)
+                if first is None:
                     continue
-                first = token_occurrences[0]
                 events_in_scope.append(
-                    UseEvent(
-                        name=symbol.qualified_name,
-                        occurrence_id=first,
-                        lineno=self.graph.node_line_of(first),
-                        col=self.graph.node_col_of(first),
-                    )
+                    UseEvent(name=symbol.qualified_name, occurrence_id=first, lineno=lines[first], col=cols[first])
                 )
                 initial_last[symbol.qualified_name] = {first}
 
-            def uses_of(node: ast.AST, scope: _Scope = scope, sink: list[UseEvent] = events_in_scope) -> list[UseEvent]:
-                events = self._uses_in(node, scope)
+            # A node's uses never change, and loop bodies are analysed more
+            # than once, so each node is walked once per scope.
+            uses_by_node: dict[int, list[UseEvent]] = {}
+
+            def uses_of(
+                node: ast.AST, scope: _Scope = scope, sink: list[UseEvent] = events_in_scope,
+                memo: dict[int, list[UseEvent]] = uses_by_node,
+            ) -> list[UseEvent]:
+                events = memo.get(id(node))
+                if events is None:
+                    events = memo[id(node)] = self._uses_in(node, scope)
                 sink.extend(events)
                 return events
 
@@ -562,23 +695,22 @@ class _BuildState:
             next_may_use.update(analysis.pairs)
             next_lexical.update(compute_next_lexical_use(events_in_scope))
 
-        for source_token, target_token in sorted(next_lexical):
-            self.graph.add_edge(EdgeKind.NEXT_LEXICAL_USE, source_token, target_token)
-        for source_token, target_token in sorted(next_may_use):
-            self.graph.add_edge(EdgeKind.NEXT_MAY_USE, source_token, target_token)
+        for kind, pairs in ((EdgeKind.NEXT_LEXICAL_USE, next_lexical), (EdgeKind.NEXT_MAY_USE, next_may_use)):
+            if pairs:
+                sources, targets = self.graph.edge_columns(kind)
+                for source_token, target_token in sorted(pairs):
+                    sources.append(source_token)
+                    targets.append(target_token)
 
     def _uses_in(self, node: ast.AST, scope: _Scope) -> list[UseEvent]:
         """Lexically ordered occurrences of resolvable names within ``node``."""
         events: list[UseEvent] = []
-        for child in ast.walk(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)) and child is not node:
-                continue
-            if not isinstance(child, ast.Name):
-                continue
+        token_at = self.token_index_at.get
+        for child in _names_within(node):
             symbol = scope.resolve(child.id)
             if symbol is None:
                 continue
-            token = self.token_at(child.lineno, child.col_offset)
+            token = token_at((child.lineno, child.col_offset))
             if token is None:
                 continue
             events.append(
@@ -596,29 +728,40 @@ class _BuildState:
 
     def add_subtoken_edges(self) -> None:
         graph = self.graph
-        from repro.graph.flatgraph import NODE_KIND_CODES
-
-        eligible = (NODE_KIND_CODES[NodeKind.TOKEN], NODE_KIND_CODES[NodeKind.SYMBOL])
-        # Split each interned lexeme once; nodes sharing a text share the result.
-        splits_by_text_id: dict[int, list[str]] = {}
-        identifier_nodes = [
+        kinds, texts, _, _ = graph.node_columns()
+        strings = graph.strings
+        vocabulary_nodes: dict[str, int] = {}
+        # Each interned lexeme is split once; nodes sharing a text share its
+        # vocabulary nodes (None: the lexeme contributes no subtokens).
+        vocabulary_of_text: dict[int, Optional[list[int]]] = {}
+        eligible = [
             (index, text_id)
-            for index, (kind_code, text_id) in enumerate(
-                zip(graph.iter_kind_codes(), graph.iter_text_ids())
-            )
-            if kind_code in eligible and is_identifier_text(graph.strings[text_id])
+            for index, (kind_code, text_id) in enumerate(zip(kinds, texts))
+            if kind_code == _TOKEN or kind_code == _SYMBOL
         ]
-        for node_index, text_id in identifier_nodes:
-            subtokens = splits_by_text_id.get(text_id)
-            if subtokens is None:
-                subtokens = split_identifier(graph.strings[text_id])
-                splits_by_text_id[text_id] = subtokens
-            for subtoken in subtokens:
-                vocab_index = self.vocabulary_nodes.get(subtoken)
-                if vocab_index is None:
-                    vocab_index = graph.add_node(NodeKind.VOCABULARY, subtoken)
-                    self.vocabulary_nodes[subtoken] = vocab_index
-                graph.add_edge(EdgeKind.SUBTOKEN_OF, node_index, vocab_index)
+        sources: list[int] = []
+        targets: list[int] = []
+        for node_index, text_id in eligible:
+            if text_id in vocabulary_of_text:
+                vocabulary = vocabulary_of_text[text_id]
+            else:
+                text = strings[text_id]
+                vocabulary = None
+                if is_identifier_text(text):
+                    vocabulary = []
+                    for subtoken in split_identifier(text):
+                        vocab_index = vocabulary_nodes.get(subtoken)
+                        if vocab_index is None:
+                            vocab_index = vocabulary_nodes[subtoken] = graph.add_node(NodeKind.VOCABULARY, subtoken)
+                        vocabulary.append(vocab_index)
+                vocabulary_of_text[text_id] = vocabulary
+            if vocabulary:
+                sources.extend([node_index] * len(vocabulary))
+                targets.extend(vocabulary)
+        if sources:
+            edge_sources, edge_targets = graph.edge_columns(EdgeKind.SUBTOKEN_OF)
+            edge_sources.extend(sources)
+            edge_targets.extend(targets)
 
     # -- annotations --------------------------------------------------------------------------
 

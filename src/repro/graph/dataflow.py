@@ -16,6 +16,10 @@ re-implementations it inspired) build the edge:
   following the whole body);
 * nested function and class definitions open new scopes and are not crossed.
 
+Running a loop body twice makes a naive analysis cost ``2**depth`` on
+nested loops, so each block's result is memoised on the block and the
+last-uses it starts from; the relation it yields is unchanged.
+
 The analysis yields pairs ``(use, next_use)`` over *occurrence ids* — opaque
 identifiers supplied by the caller (the graph builder passes token-node
 indices).
@@ -69,6 +73,9 @@ class NextMayUseAnalysis:
     def __init__(self, uses_of_statement: Callable[[ast.AST], list[UseEvent]]) -> None:
         self._uses_of = uses_of_statement
         self.pairs: set[tuple[int, int]] = set()
+        # (id of a statement list, frozen incoming last-uses) -> (the list,
+        # outgoing last-uses); holding the list keeps its id from being reused.
+        self._blocks: dict[tuple[int, frozenset], tuple[list[ast.stmt], LastUses]] = {}
 
     # -- public API -------------------------------------------------------------
 
@@ -98,8 +105,21 @@ class NextMayUseAnalysis:
         return last
 
     def _run_block(self, statements: list[ast.stmt], last: LastUses) -> LastUses:
+        """Thread ``last`` through a statement list (memoised).
+
+        A block's outgoing last-uses and the pairs it adds depend only on
+        the block and its incoming last-uses, so a repeated run returns a
+        copy of the first run's result; its pairs are already in the set.
+        """
+        if not statements:
+            return last
+        key = (id(statements), frozenset((name, frozenset(uses)) for name, uses in last.items()))
+        known = self._blocks.get(key)
+        if known is not None:
+            return _copy(known[1])
         for statement in statements:
             last = self._run_statement(statement, last)
+        self._blocks[key] = (statements, _copy(last))
         return last
 
     def _run_statement(self, statement: ast.stmt, last: LastUses) -> LastUses:

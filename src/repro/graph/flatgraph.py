@@ -72,6 +72,18 @@ class StringTable:
             self._index[text] = index
         return index
 
+    def intern_all(self, texts: Iterable[str]) -> list[int]:
+        """:meth:`intern` of each text, in order."""
+        index, strings = self._index, self.strings
+        ids = []
+        for text in texts:
+            found = index.get(text)
+            if found is None:
+                found = index[text] = len(strings)
+                strings.append(text)
+            ids.append(found)
+        return ids
+
     def __len__(self) -> int:
         return len(self.strings)
 
@@ -251,12 +263,15 @@ class FlatGraph:
         if self.node_text.size and int(self.node_text.max()) >= len(self.strings):
             raise ValueError("node text id out of string-table range")
         symbol_code = NODE_KIND_CODES[NodeKind.SYMBOL]
-        for position in range(self.num_symbols):
-            node_index = int(self.symbol_node[position])
-            if not 0 <= node_index < num_nodes or int(self.node_kind[node_index]) != symbol_code:
-                raise ValueError(
-                    f"symbol {self.strings[int(self.symbol_name[position])]} does not point at a symbol node"
-                )
+        symbol_node = self.symbol_node
+        in_range = (symbol_node >= 0) & (symbol_node < num_nodes)
+        misplaced = ~in_range
+        misplaced[in_range] = self.node_kind[symbol_node[in_range]] != symbol_code
+        if misplaced.any():
+            position = int(np.flatnonzero(misplaced)[0])
+            raise ValueError(
+                f"symbol {self.strings[int(self.symbol_name[position])]} does not point at a symbol node"
+            )
         if self.occurrence_ids.size and (
             self.occurrence_ids.min() < 0 or self.occurrence_ids.max() >= num_nodes
         ):
@@ -266,10 +281,14 @@ class FlatGraph:
 class FlatGraphBuilder:
     """The mutable arena a single graph construction appends into.
 
-    ``add_node`` / ``add_edge`` / ``add_symbol`` append to columns of plain
-    ints and an intern table.  Symbols are accumulated as
-    :class:`SymbolInfo` records (they are few and the AST walk mutates them
-    freely); :meth:`finish` freezes everything into a :class:`FlatGraph`.
+    Nodes live in four columns of plain ints (kind code, text id, line,
+    column) plus an intern table, and every edge kind in a pair of int
+    lists (sources, targets).  :meth:`add_node` / :meth:`add_edge` append
+    one element and check it; a builder that emits thousands of elements
+    appends to the lists of :meth:`node_columns` and :meth:`edge_columns`
+    directly.  Symbols are accumulated as :class:`SymbolInfo` records (they
+    are few and the AST walk mutates them freely); :meth:`finish` freezes
+    everything into a :class:`FlatGraph`.
     """
 
     def __init__(self, filename: str = "<unknown>", source: str = "") -> None:
@@ -280,7 +299,7 @@ class FlatGraphBuilder:
         self._node_text: list[int] = []
         self._node_line: list[int] = []
         self._node_col: list[int] = []
-        self._edges: dict[EdgeKind, list[tuple[int, int]]] = {}
+        self._edges: dict[EdgeKind, tuple[list[int], list[int]]] = {}
         self.symbols: list[SymbolInfo] = []
 
     # -- construction -------------------------------------------------------------
@@ -288,6 +307,26 @@ class FlatGraphBuilder:
     @property
     def num_nodes(self) -> int:
         return len(self._node_kind)
+
+    def node_columns(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """The live ``(kind code, text id, line, column)`` node lists.
+
+        Appending to them adds nodes; all four must grow together, and text
+        ids must come from :attr:`strings`.
+        """
+        return self._node_kind, self._node_text, self._node_line, self._node_col
+
+    def edge_columns(self, kind: EdgeKind) -> tuple[list[int], list[int]]:
+        """The live ``(sources, targets)`` lists of one edge kind.
+
+        Appending to them adds edges without the checks of :meth:`add_edge`.
+        The frozen graph keeps its edge kinds in the order of their first
+        call here.
+        """
+        columns = self._edges.get(kind)
+        if columns is None:
+            columns = self._edges[kind] = ([], [])
+        return columns
 
     def add_node(self, kind: NodeKind, text: str, lineno: int = -1, col: int = -1) -> int:
         index = len(self._node_kind)
@@ -298,6 +337,7 @@ class FlatGraphBuilder:
         return index
 
     def add_edge(self, kind: EdgeKind, source: int, target: int) -> None:
+        """Append one edge; a self loop is dropped, a missing node is an ``IndexError``."""
         if source == target:
             return
         if not (0 <= source < self.num_nodes and 0 <= target < self.num_nodes):
@@ -305,7 +345,9 @@ class FlatGraphBuilder:
                 f"edge {kind.value} references missing node ({source}, {target}); "
                 f"graph has {self.num_nodes} nodes"
             )
-        self._edges.setdefault(kind, []).append((source, target))
+        sources, targets = self.edge_columns(kind)
+        sources.append(source)
+        targets.append(target)
 
     def add_symbol(
         self,
@@ -327,38 +369,14 @@ class FlatGraphBuilder:
         self.symbols.append(info)
         return info
 
-    # -- read access during the build ------------------------------------------------
-
-    def node_kind_of(self, index: int) -> NodeKind:
-        return NODE_KIND_ORDER[self._node_kind[index]]
-
-    def node_text_of(self, index: int) -> str:
-        return self.strings[self._node_text[index]]
-
-    def node_line_of(self, index: int) -> int:
-        return self._node_line[index]
-
-    def node_col_of(self, index: int) -> int:
-        return self._node_col[index]
-
-    def edge_pairs(self, kind: EdgeKind) -> list[tuple[int, int]]:
-        """The live pair list of one edge kind (read-only by convention)."""
-        return self._edges.get(kind, [])
-
-    def iter_kind_codes(self) -> list[int]:
-        return self._node_kind
-
-    def iter_text_ids(self) -> list[int]:
-        return self._node_text
-
     # -- freezing ----------------------------------------------------------------------
 
     def finish(self) -> FlatGraph:
         """Freeze the arena into an immutable :class:`FlatGraph`."""
         edges = {
-            kind: np.asarray(pairs, dtype=np.int32).reshape(len(pairs), 2).T.copy()
-            for kind, pairs in self._edges.items()
-            if pairs
+            kind: np.array(columns, dtype=np.int32)
+            for kind, columns in self._edges.items()
+            if columns[0]
         }
         num_symbols = len(self.symbols)
         symbol_node = np.zeros(num_symbols, dtype=np.int32)

@@ -1,9 +1,11 @@
 """Tests for the program-graph builder (nodes, edges, symbols, annotations)."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -110,6 +112,7 @@ class TestFrontEndParity:
         graph = build_graph(source, filename)
         oracle = graph_oracle.build(source, filename)
         assert graph_oracle.flat_arrays(graph) == graph_oracle.flat_arrays(oracle)
+        assert list(graph.flat.edges) == list(oracle.flat.edges)  # edge kinds in the same order
         assert graph.symbols == oracle.symbols
 
     @pytest.mark.parametrize("source", _FRONT_END_CASES)
@@ -125,6 +128,51 @@ class TestFrontEndParity:
         config = SynthesisConfig(num_files=400, seed=1000, duplicate_fraction=0.0)
         for entry in CorpusSynthesizer(config).generate():
             self._assert_same(entry.source, entry.filename)
+
+
+def _assignments(count: int) -> str:
+    return "".join(f"name_{index} = {index}\n" for index in range(count))
+
+
+class TestBuildCost:
+    def test_assigned_from_is_linear_in_the_number_of_assignments(self):
+        """Four times the assignments must cost about four times as much.
+
+        ``ASSIGNED_FROM`` once scanned every ``CHILD`` edge of the file per
+        assignment: 4,000 assignments took 9.4 times as long as 1,000.
+        """
+
+        def best_of_three(source: str) -> float:
+            # The cyclic collector's passes scale with everything the test
+            # process holds, not with the build, so they are kept out.
+            timings = []
+            gc.collect()
+            gc.disable()
+            try:
+                for _ in range(3):
+                    started = time.perf_counter()
+                    build_graph(source)
+                    timings.append(time.perf_counter() - started)
+            finally:
+                gc.enable()
+            return min(timings)
+
+        small, large = _assignments(1000), _assignments(4000)
+        build_graph(small)  # warm up
+        ratio = best_of_three(large) / best_of_three(small)
+        assert ratio < 6.0, ratio
+        assert len(build_graph(large).edges_of(EdgeKind.ASSIGNED_FROM)) == 4000
+
+    def test_build_leaves_no_reference_cycles(self, sample_source):
+        """A build's state is freed when it returns, not when the cyclic
+        collector next runs (a pass builds dozens of graphs, then embeds)."""
+        gc.collect()
+        gc.disable()
+        try:
+            build_graph(sample_source)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestGraphStructure:

@@ -1,9 +1,15 @@
 """Tests for the dataflow analysis (NEXT_LEXICAL_USE / NEXT_MAY_USE) and subtokens."""
 
+import ast
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
+import graph_oracle
+from conftest import SAMPLE_SOURCE
 from repro.graph import EdgeKind, NodeKind, build_graph
+from repro.graph.dataflow import NextMayUseAnalysis, UseEvent
 from repro.graph.subtokens import (
     EMPTY_SUBTOKEN,
     UNKNOWN_SUBTOKEN,
@@ -113,6 +119,75 @@ class TestNextMayUse:
         for a, b in graph.edges_of(EdgeKind.NEXT_MAY_USE):
             assert not (a in outer_occurrences and b in inner_occurrences)
             assert not (a in inner_occurrences and b in outer_occurrences)
+
+
+def _nested_loops(depth: int) -> str:
+    """A function whose body is ``depth`` nested ``for`` loops, each using ``total``."""
+    lines = ["def f(items):", "    total = 0"]
+    for level in range(depth):
+        indent = "    " * (level + 1)
+        lines.append(f"{indent}for v{level} in items:")
+        lines.append(f"{indent}    total = total + v{level}")
+    lines.append("    return total")
+    return "\n".join(lines) + "\n"
+
+
+def _analysis_pairs(analysis_class, source: str) -> list[set[tuple[int, int]]]:
+    """NEXT_MAY_USE pairs of every function body and the module body of ``source``.
+
+    Uses are the ``Name`` nodes of a statement, identified by source position.
+    """
+    tree = ast.parse(source)
+    positions: dict[tuple[int, int], int] = {}
+
+    def uses_of(node):
+        events = []
+        for child in ast.walk(node):
+            if isinstance(child, ast.Name):
+                position = (child.lineno, child.col_offset)
+                occurrence = positions.setdefault(position, len(positions))
+                events.append(UseEvent(child.id, occurrence, child.lineno, child.col_offset))
+        return sorted(events, key=lambda event: (event.lineno, event.col))
+
+    bodies = [tree.body] + [node.body for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    results = []
+    for body in bodies:
+        analysis = analysis_class(uses_of)
+        analysis.analyse_body(body)
+        results.append(analysis.pairs)
+    return results
+
+
+class TestMemoisedNextMayUse:
+    """The memoised analysis yields the pairs of the unmemoised one."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [SAMPLE_SOURCE, _nested_loops(4), _nested_loops(8), _nested_loops(12),
+         "while a:\n    for b in a:\n        while b:\n            a = b\n        else:\n            c = a\n"
+         "    try:\n        for d in c:\n            b = d\n    except E:\n        a = c\n    finally:\n        d = a\n"],
+    )
+    def test_pairs_equal_the_unmemoised_analysis(self, source):
+        assert _analysis_pairs(NextMayUseAnalysis, source) == _analysis_pairs(graph_oracle.UnmemoisedNextMayUse, source)
+
+    def test_parity_cases(self):
+        from test_graph_builder import _FRONT_END_CASES
+
+        for source in _FRONT_END_CASES:
+            erased = graph_oracle.erase_annotations(source)
+            assert _analysis_pairs(NextMayUseAnalysis, erased) == \
+                _analysis_pairs(graph_oracle.UnmemoisedNextMayUse, erased)
+
+    def test_nested_loop_graph_equals_the_unmemoised_build(self):
+        source = _nested_loops(8)
+        assert graph_oracle.flat_arrays(build_graph(source)) == graph_oracle.flat_arrays(graph_oracle.build(source))
+
+    def test_deep_loop_nest_builds_quickly(self):
+        """Unmemoised, each loop level doubles the work: depth 20 took minutes."""
+        started = time.perf_counter()
+        graph = build_graph(_nested_loops(20))
+        assert time.perf_counter() - started < 5.0
+        assert graph.edges_of(EdgeKind.NEXT_MAY_USE)
 
 
 class TestSubtokenSplitting:
